@@ -62,8 +62,8 @@ def random_instance(
             off_cubes.append(Cube.from_index(n_inputs, m, offb, n_outputs))
     on = Cover(n_inputs, on_cubes, n_outputs)
     off = Cover(n_inputs, off_cubes, n_outputs)
-    on_by_out = [on.restrict_to_output(j) for j in range(n_outputs)]
-    off_by_out = [off.restrict_to_output(j) for j in range(n_outputs)]
+    on_by_out = on.split_outputs()
+    off_by_out = off.split_outputs()
 
     transitions: List[Transition] = []
     seen = set()

@@ -183,7 +183,11 @@ def run_task_isolated(
     The single-slot building block (``jobs=1`` semantics of the executor,
     and the remote shard's per-task cell in :mod:`repro.corpus.worker`).
     """
-    from repro.guard.runner import _timeout_bundle, _worker_crashed_row
+    from repro.guard.runner import (
+        _timeout_bundle,
+        _worker_crashed_row,
+        timeout_message,
+    )
 
     timeout = payload.get("timeout_s") or timeout_s
     name = payload.get("name", "instance")
@@ -205,7 +209,7 @@ def run_task_isolated(
                     "name": name,
                     "status": "timeout",
                     "time_s": round(time.perf_counter() - t0, 6),
-                    "error": f"exceeded per-instance timeout of {timeout:g}s",
+                    "error": timeout_message(timeout),
                     "bundle_path": _timeout_bundle(
                         payload, payload.get("bundle_dir"), timeout
                     ),
@@ -395,7 +399,11 @@ class ShardExecutor:
     def _poll_slot(
         self, slot: _Slot, payload: Dict[str, Any]
     ) -> Optional[Dict[str, Any]]:
-        from repro.guard.runner import _timeout_bundle, _worker_crashed_row
+        from repro.guard.runner import (
+            _timeout_bundle,
+            _worker_crashed_row,
+            timeout_message,
+        )
 
         row: Optional[Dict[str, Any]] = None
         try:
@@ -410,7 +418,7 @@ class ShardExecutor:
                     "name": payload.get("name", "instance"),
                     "status": "timeout",
                     "time_s": round(now - slot.t0, 6),
-                    "error": f"exceeded per-instance timeout of {timeout:g}s",
+                    "error": timeout_message(timeout),
                     "bundle_path": _timeout_bundle(
                         payload, payload.get("bundle_dir"), timeout
                     ),

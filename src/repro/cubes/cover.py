@@ -4,7 +4,45 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.cubes.cube import Cube
+from repro.cubes.cube import Cube, minterm_bits
+
+
+class CoverColumns:
+    """A cube list transposed into bitsets with one bit per cube (cover order).
+
+    ``by_literal[i][code]`` holds the cubes whose literal ``i`` meets the
+    literal ``code`` (0 = EMPTY meets nothing, 3 = DC meets every non-EMPTY
+    literal); ``by_output[j]`` the cubes of output ``j``.  A meeting test
+    against every cube then costs one AND per input variable.
+    """
+
+    __slots__ = ("cubes", "by_literal", "by_output")
+
+    def __init__(self, cubes: Sequence[Cube], n_inputs: int, n_outputs: int):
+        self.cubes = cubes
+        by_bit = _bit_columns([c.inbits for c in cubes], 2 * n_inputs)
+        self.by_literal = [
+            (0, zero, one, zero | one) for zero, one in zip(by_bit[::2], by_bit[1::2])
+        ]
+        self.by_output = _bit_columns([c.outbits for c in cubes], n_outputs)
+
+    def meeting(self, inbits: int) -> int:
+        """The cubes whose input part meets the input part ``inbits``."""
+        found = (1 << len(self.cubes)) - 1
+        for codes in self.by_literal:
+            if not found:
+                break
+            found &= codes[inbits & 3]
+            inbits >>= 2
+        return found
+
+
+def _bit_columns(values: Sequence[int], width: int) -> List[int]:
+    """Transpose: bit ``k`` of ``result[b]`` is bit ``b`` of ``values[k]``."""
+    if not values or not width:
+        return [0] * width
+    text = "".join([format(v, f"0{width}b") for v in reversed(values)])
+    return [int(text[width - 1 - b :: width], 2) for b in range(width)]
 
 
 class Cover:
@@ -119,8 +157,9 @@ class Cover:
 
     def evaluate(self, values: Sequence[int], output: int = 0) -> bool:
         """Evaluate the cover's output ``output`` on a 0/1 input vector."""
+        bits = minterm_bits(values)
         for c in self.cubes:
-            if c.has_output(output) and c.contains_minterm(values):
+            if (c.outbits >> output) & 1 and (c.inbits & bits) == bits:
                 return True
         return False
 
@@ -136,6 +175,10 @@ class Cover:
         """All cover cubes that intersect ``cube``."""
         return [c for c in self.cubes if c.intersects(cube)]
 
+    def columns(self) -> CoverColumns:
+        """The cover transposed into per-literal and per-output bitsets."""
+        return CoverColumns(self.cubes, self.n_inputs, self.n_outputs)
+
     def restrict_to_output(self, j: int) -> "Cover":
         """The single-output cover of output ``j`` (cubes with bit ``j`` set)."""
         out = Cover(self.n_inputs, (), 1)
@@ -143,6 +186,22 @@ class Cover:
             if c.has_output(j):
                 out.append(Cube(self.n_inputs, c.inbits, 1, 1))
         return out
+
+    def split_outputs(self) -> List["Cover"]:
+        """``restrict_to_output(j)`` for every output ``j``, in one pass.
+
+        A cube of several outputs yields one single-output cube, shared by
+        their covers (cubes are immutable).
+        """
+        split = [Cover(self.n_inputs) for _ in range(self.n_outputs)]
+        for c in self.cubes:
+            single = Cube(self.n_inputs, c.inbits)
+            outbits = c.outbits
+            while outbits:
+                low = outbits & -outbits
+                split[low.bit_length() - 1].cubes.append(single)
+                outbits ^= low
+        return split
 
     # ------------------------------------------------------------------
     # Simple transforms

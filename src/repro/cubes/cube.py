@@ -58,6 +58,14 @@ def dc_pairs(inbits: int, n_inputs: int) -> int:
     return inbits & (inbits >> 1) & mask01(n_inputs)
 
 
+def minterm_bits(values: Sequence[int]) -> int:
+    """Input part of the minterm cube of a 0/1 vector (one bit per pair)."""
+    bits = 0
+    for i, v in enumerate(values):
+        bits |= (LITERAL_ONE if v else LITERAL_ZERO) << (2 * i)
+    return bits
+
+
 class Cube:
     """An immutable product term (cube) over inputs and outputs.
 
@@ -134,10 +142,7 @@ class Cube:
     @classmethod
     def minterm(cls, values: Sequence[int], outbits: int = 1, n_outputs: int = 1) -> "Cube":
         """Build the minterm cube for a 0/1 input vector."""
-        inbits = 0
-        for i, v in enumerate(values):
-            inbits |= (LITERAL_ONE if v else LITERAL_ZERO) << (2 * i)
-        return cls(len(values), inbits, outbits, n_outputs)
+        return cls(len(values), minterm_bits(values), outbits, n_outputs)
 
     @classmethod
     def from_index(cls, n_inputs: int, index: int, outbits: int = 1, n_outputs: int = 1) -> "Cube":
@@ -226,11 +231,8 @@ class Cube:
 
     def contains_minterm(self, values: Sequence[int]) -> bool:
         """True iff the 0/1 input vector lies inside this cube's input part."""
-        for i, v in enumerate(values):
-            lit = self.literal(i)
-            if not (lit >> (1 if v else 0)) & 1:
-                return False
-        return True
+        bits = minterm_bits(values)
+        return (self.inbits & bits) == bits
 
     # ------------------------------------------------------------------
     # Algebra

@@ -338,8 +338,8 @@ def detect_netlist(
     tracer = current_tracer()
     span = tracer.start("detect", netlist=netlist.name) if tracer else None
     supports = [netlist.support(j) for j in range(netlist.n_outputs)]
-    on_by_out = [on.restrict_to_output(j) for j in range(netlist.n_outputs)]
-    off_by_out = [off.restrict_to_output(j) for j in range(netlist.n_outputs)]
+    on_by_out = on.split_outputs()
+    off_by_out = off.split_outputs()
     rng = random.Random(options.seed)
     budget = options.budget
     exhausted = False

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from repro.cubes.cube import Cube, LITERAL_ONE, LITERAL_ZERO, dc_pairs, full_input_mask
+from typing import List
+
+from repro.cubes.cube import Cube, full_input_mask, mask01
 from repro.cubes.cover import Cover
-from repro.espresso.unate import select_binate_var
 from repro._compat import popcount
-
-
-def _has_universal_row(cover: Cover) -> bool:
-    full = full_input_mask(cover.n_inputs)
-    return any(c.inbits == full for c in cover)
 
 
 def tautology(cover: Cover) -> bool:
@@ -18,38 +14,72 @@ def tautology(cover: Cover) -> bool:
 
     Output parts are ignored: the cover is interpreted as a single-output
     cover (callers handling multi-output covers restrict per output first).
+    """
+    return tautology_rows([c.inbits for c in cover], cover.n_inputs)
+
+
+def tautology_rows(rows: List[int], n_inputs: int) -> bool:
+    """True iff the positional input parts ``rows`` cover all ``n_inputs``
+    variables' space.
+
     Implements the unate-recursive paradigm: terminal cases for the empty
     cover, a universal row, vanishing minterm counts and unate covers;
-    otherwise Shannon-split on the most binate variable.
+    otherwise Shannon-split on the most binate variable.  Rows with an
+    EMPTY literal are dropped by the first split on that variable.
     """
-    if _has_universal_row(cover):
+    return _tautology(rows, full_input_mask(n_inputs), mask01(n_inputs), 1 << n_inputs)
+
+
+def _tautology(rows: List[int], full: int, m01: int, target: int) -> bool:
+    if full in rows:
         return True
-    if cover.is_empty:
+    if not rows:
         return False
-    n = cover.n_inputs
     # Vanishing heuristic: not enough minterms to possibly fill the space.
     total = 0
-    target = 1 << n
-    for c in cover:
-        total += 1 << popcount(dc_pairs(c.inbits, n))
+    for r in rows:
+        total += 1 << popcount(r & (r >> 1) & m01)
         if total >= target:
             break
     if total < target:
         return False
-    var = select_binate_var(cover)
-    if var is None:
+    zero = _most_binate(rows, m01)
+    if not zero:
         # Unate cover with no universal row is never a tautology.
         return False
-    return tautology(_literal_cofactor(cover, var, 0)) and tautology(
-        _literal_cofactor(cover, var, 1)
+    one = zero << 1
+    pair = zero | one
+    return _tautology([r | pair for r in rows if r & zero], full, m01, target) and (
+        _tautology([r | pair for r in rows if r & one], full, m01, target)
     )
 
 
-def _literal_cofactor(cover: Cover, var: int, value: int) -> Cover:
-    """Cofactor of the cover with respect to a single literal ``x_var = value``."""
-    lit = LITERAL_ONE if value else LITERAL_ZERO
-    point = Cube.full(cover.n_inputs, cover.n_outputs).with_literal(var, lit)
-    return cover.cofactor(point)
+def _most_binate(rows: List[int], m01: int) -> int:
+    """The low bit of :func:`~repro.espresso.unate.select_binate_var`'s
+    variable for ``rows``, or 0 when they are unate."""
+    zeros = ones = 0
+    for r in rows:
+        zeros |= r & ~(r >> 1) & m01
+        ones |= (r >> 1) & ~r & m01
+    binate = zeros & ones
+    best = 0
+    best_key = None
+    while binate:
+        low = binate & -binate
+        binate ^= low
+        high = low << 1
+        n_zero = n_one = 0
+        for r in rows:
+            lit = r & (low | high)
+            if lit == low:
+                n_zero += 1
+            elif lit == high:
+                n_one += 1
+        key = (min(n_zero, n_one), n_zero + n_one)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = low
+    return best
 
 
 def cover_contains_cube(cover: Cover, cube: Cube) -> bool:

@@ -640,7 +640,7 @@ def run_one(
                     "name": name,
                     "status": "timeout",
                     "time_s": round(time.perf_counter() - t0, 6),
-                    "error": f"exceeded per-circuit timeout of {timeout:g}s",
+                    "error": timeout_message(timeout),
                     "bundle_path": _timeout_bundle(payload, bundle_dir, timeout),
                 }
                 break
@@ -693,6 +693,12 @@ def worker_crashed_error(row: Dict[str, Any]) -> "WorkerCrashed":
     )
 
 
+def timeout_message(timeout: float) -> str:
+    """The error text of a work item killed at its wall-clock deadline,
+    shared by every isolated runner (guard and corpus)."""
+    return f"exceeded per-instance timeout of {timeout:g}s"
+
+
 def _timeout_bundle(
     payload: Dict[str, Any], bundle_dir: Optional[str], timeout: float
 ) -> Optional[str]:
@@ -704,7 +710,7 @@ def _timeout_bundle(
         return write_bundle(
             instance,
             failure_kind="timeout",
-            failure_message=f"exceeded per-circuit timeout of {timeout:g}s",
+            failure_message=timeout_message(timeout),
             options=options_from_dict(payload.get("options", {})),
             bundle_dir=bundle_dir,
         )
@@ -790,8 +796,7 @@ def run_pool(
                         "name": payloads[idx].get("name", "instance"),
                         "status": "timeout",
                         "time_s": round(now - t0, 6),
-                        "error": "exceeded per-circuit timeout of "
-                        f"{timeout:g}s",
+                        "error": timeout_message(timeout),
                         "bundle_path": _timeout_bundle(
                             payloads[idx],
                             payloads[idx].get("bundle_dir"),

@@ -13,19 +13,13 @@ three objects every algorithm in the library consumes (paper §3.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
-from repro.espresso.tautology import tautology
 from repro.guard.errors import MalformedInstance
-from repro.hazards.transitions import (
-    Transition,
-    TransitionKind,
-    classify_transition,
-    function_hazard_free,
-)
-from repro.hazards.required import maximal_on_subcubes
+from repro.hazards.transitions import Transition, TransitionEntry, TransitionKind
+from repro.hazards.required import subcubes_from_blockers
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,15 @@ class HazardFreeInstance:
         self.name = name
         self.n_inputs = on.n_inputs
         self.n_outputs = on.n_outputs
-        self._on_by_output = [on.restrict_to_output(j) for j in range(self.n_outputs)]
-        self._off_by_output = [off.restrict_to_output(j) for j in range(self.n_outputs)]
+        self._on_by_output = on.split_outputs()
+        self._off_by_output = off.split_outputs()
+        self._on_columns = on.columns()
+        self._off_columns = off.columns()
+        # The transition table: one TransitionEntry per distinct transition,
+        # built on first use and shared by validation, kinds and derivation.
+        self._table: Dict[Transition, TransitionEntry] = {}
+        self._required: Optional[List[RequiredCube]] = None
+        self._privileged: Optional[List[PrivilegedCube]] = None
         if validate:
             self.validate()
 
@@ -128,15 +129,24 @@ class HazardFreeInstance:
             return False
         return None
 
+    def _entry(self, transition: Transition) -> TransitionEntry:
+        """The transition table's row for ``transition`` (built once)."""
+        entry = self._table.get(transition)
+        if entry is None:
+            if len(transition.start) != self.n_inputs:
+                raise InstanceError(f"transition {transition} has wrong width")
+            entry = TransitionEntry(transition, self._on_columns, self._off_columns)
+            self._table[transition] = entry
+        return entry
+
     def kind(self, transition: Transition, j: int) -> TransitionKind:
         """The transition type of output ``j`` over ``transition``."""
-        sv = self.value(transition.start, j)
-        ev = self.value(transition.end, j)
-        if sv is None or ev is None:
+        kind = self._entry(transition).kind(j)
+        if kind is None:
             raise InstanceError(
                 f"transition {transition} endpoint undefined for output {j}"
             )
-        return classify_transition(transition, sv, ev)
+        return kind
 
     # ------------------------------------------------------------------
     # Validation
@@ -144,30 +154,39 @@ class HazardFreeInstance:
 
     def validate(self) -> None:
         """Check the preconditions of the hazard-free minimization model."""
-        for j in range(self.n_outputs):
-            on_j, off_j = self._on_by_output[j], self._off_by_output[j]
-            for c in on_j:
-                for o in off_j:
-                    if c.intersects_input(o):
-                        raise InstanceError(
-                            f"ON and OFF sets of output {j} intersect: "
-                            f"{c.input_string()} ∩ {o.input_string()}"
-                        )
+        self._check_disjoint()
+        outputs = (1 << self.n_outputs) - 1
         for t in self.transitions:
-            if len(t.start) != self.n_inputs:
-                raise InstanceError(f"transition {t} has wrong width")
-            t_cube = Cube(self.n_inputs, t.cube.inbits, 1, 1)
+            entry = self._entry(t)
+            undefined = entry.undefined_outputs(outputs)
+            hazards = entry.hazard_outputs(entry.on_start, entry.on_end)
             for j in range(self.n_outputs):
-                on_j, off_j = self._on_by_output[j], self._off_by_output[j]
-                union = Cover(self.n_inputs, (), 1)
-                union.cubes = list(on_j.cubes) + list(off_j.cubes)
-                if not tautology(union.cofactor(t_cube)):
+                if (undefined >> j) & 1:
                     raise InstanceError(
                         f"function not fully defined on {t} for output {j}"
                     )
-                if not function_hazard_free(t, on_j, off_j):
+                if (hazards >> j) & 1:
                     raise InstanceError(
                         f"transition {t} has a function hazard on output {j}"
+                    )
+
+    def _check_disjoint(self) -> None:
+        """ON ∩ OFF = ∅ for every output, reporting the first intersecting
+        pair (in cover order) of the lowest such output."""
+        on, off = self._on_columns, self._off_columns
+        for j in range(self.n_outputs):
+            off_j = off.by_output[j]
+            rows = on.by_output[j] if off_j else 0
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                c = on.cubes[low.bit_length() - 1]
+                hit = off.meeting(c.inbits) & off_j
+                if hit:
+                    o = off.cubes[(hit & -hit).bit_length() - 1]
+                    raise InstanceError(
+                        f"ON and OFF sets of output {j} intersect: "
+                        f"{c.input_string()} ∩ {o.input_string()}"
                     )
 
     # ------------------------------------------------------------------
@@ -176,19 +195,28 @@ class HazardFreeInstance:
 
     def required_cubes(self) -> List[RequiredCube]:
         """The set ``Q`` of required cubes over all outputs (Definition 2.9)."""
-        if not hasattr(self, "_required"):
+        if self._required is None:
             required: List[RequiredCube] = []
             seen = set()
             for t in self.transitions:
+                entry = self._entry(t)
                 for j in range(self.n_outputs):
                     kind = self.kind(t, j)
                     if kind is TransitionKind.STATIC_ONE:
                         cubes = [t.cube]
                     elif kind is TransitionKind.FALLING:
-                        cubes = maximal_on_subcubes(t, self._off_by_output[j])
+                        cubes = subcubes_from_blockers(
+                            self.n_inputs,
+                            entry.start,
+                            entry.changing,
+                            entry.blockers(j, True),
+                        )
                     elif kind is TransitionKind.RISING:
-                        cubes = maximal_on_subcubes(
-                            t.reversed(), self._off_by_output[j]
+                        cubes = subcubes_from_blockers(
+                            self.n_inputs,
+                            entry.end,
+                            entry.changing,
+                            entry.blockers(j, False),
                         )
                     else:
                         continue
@@ -202,23 +230,26 @@ class HazardFreeInstance:
 
     def privileged_cubes(self) -> List[PrivilegedCube]:
         """The set ``P`` of privileged cubes over all outputs (Definition 2.10)."""
-        if not hasattr(self, "_privileged"):
+        if self._privileged is None:
             privileged: List[PrivilegedCube] = []
             seen = set()
             for t in self.transitions:
+                entry = self._entry(t)
                 for j in range(self.n_outputs):
                     kind = self.kind(t, j)
                     if kind is TransitionKind.FALLING:
-                        norm = t
+                        norm, start = t, entry.start
                     elif kind is TransitionKind.RISING:
-                        norm = t.reversed()
+                        norm, start = t.reversed(), entry.end
                     else:
                         continue
-                    key = (norm.cube.inbits, norm.start_cube().inbits, j)
+                    key = (entry.cube, start, j)
                     if key not in seen:
                         seen.add(key)
                         privileged.append(
-                            PrivilegedCube(norm.cube, norm.start_cube(), j, norm)
+                            PrivilegedCube(
+                                t.cube, Cube(self.n_inputs, start), j, norm
+                            )
                         )
             self._privileged = privileged
         return list(self._privileged)

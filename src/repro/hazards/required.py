@@ -11,45 +11,86 @@ the complements (within the changing set) of the *minimal hitting sets* of
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Hashable, List, Sequence, Tuple
 
+from repro._compat import popcount
 from repro.cubes.cube import Cube, LITERAL_DC
 from repro.cubes.cover import Cover
-from repro.hazards.transitions import Transition
+from repro.hazards.transitions import Transition, TransitionEntry
 
 
-def minimal_hitting_sets(sets: Sequence[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    """All minimal hitting sets of a family of non-empty sets.
+def minimal_hitting_masks(sets: Sequence[int]) -> List[int]:
+    """All minimal hitting sets of a family of non-empty bitmask sets.
 
     Berge's incremental construction: maintain the minimal hitting sets of a
     prefix of the family; to add a set ``D``, extend each current hitting set
     that misses ``D`` by every element of ``D`` and re-minimize.
     """
-    for d in sets:
-        if not d:
-            raise ValueError("cannot hit an empty set")
-    current: List[FrozenSet[int]] = [frozenset()]
+    if 0 in sets:
+        raise ValueError("cannot hit an empty set")
+    current = [0]
     # Process only the minimal sets: a hitting set of D' ⊆ D also hits D.
-    pruned = _minimal_sets(sets)
-    for d in pruned:
-        extended: Set[FrozenSet[int]] = set()
+    for d in _minimal_masks(sets):
+        extended = set()
         for h in current:
             if h & d:
                 extended.add(h)
-            else:
-                for x in d:
-                    extended.add(h | {x})
-        current = _minimal_sets(list(extended))
+                continue
+            rest = d
+            while rest:
+                low = rest & -rest
+                extended.add(h | low)
+                rest ^= low
+        current = _minimal_masks(extended)
     return current
 
 
-def _minimal_sets(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    unique = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    kept: List[FrozenSet[int]] = []
-    for s in unique:
-        if not any(k <= s for k in kept):
+def _minimal_masks(sets) -> List[int]:
+    kept: List[int] = []
+    for s in sorted(set(sets), key=lambda m: (popcount(m), m)):
+        if not any(k & s == k for k in kept):
             kept.append(s)
     return kept
+
+
+def minimal_hitting_sets(sets: Sequence[FrozenSet[Hashable]]) -> List[FrozenSet[Hashable]]:
+    """All minimal hitting sets of a family of non-empty sets, ordered by
+    size and then by sorted elements (:func:`minimal_hitting_masks` on the
+    elements numbered in sorted order)."""
+    universe = sorted(frozenset().union(*sets))
+    index = {x: i for i, x in enumerate(universe)}
+    masks = [sum(1 << index[x] for x in d) for d in sets]
+    hitting = [
+        frozenset(x for i, x in enumerate(universe) if (h >> i) & 1)
+        for h in minimal_hitting_masks(masks)
+    ]
+    return sorted(hitting, key=lambda h: (len(h), sorted(h)))
+
+
+def subcubes_from_blockers(
+    n_inputs: int, start: int, changing: int, blockers: Sequence[int]
+) -> List[Cube]:
+    """The maximal subcubes ``[A, X]`` that avoid every blocker, sorted.
+
+    ``start`` is the minterm bits of ``A``, ``changing`` the changing
+    variables and ``blockers`` the ``D_o`` masks of the OFF cubes meeting
+    the transition cube (all on the low bit of each variable's pair).
+    """
+    if 0 in blockers:
+        raise ValueError(
+            "OFF cube contains the start point of a 1->0 transition; "
+            "the instance is ill-formed (f(A) must be 1)"
+        )
+    if not blockers:
+        raise ValueError(
+            "no OFF cube meets the transition cube of a 1->0 transition; "
+            "the end point must be OFF"
+        )
+    cubes = []
+    for h in minimal_hitting_masks(blockers):
+        freed = changing & ~h
+        cubes.append(Cube(n_inputs, start | freed | (freed << 1)))
+    return sorted(cubes)
 
 
 def maximal_on_subcubes(
@@ -60,38 +101,10 @@ def maximal_on_subcubes(
     ``off`` is the single-output OFF cover.  The transition is assumed
     function-hazard-free with ``f(A)=1`` and ``f(B)=0``.
     """
-    start, end = transition.start, transition.end
-    changing = transition.changing
-    t_cube = transition.cube
-    start_cube = Cube.minterm(start)
-    blockers: List[FrozenSet[int]] = []
-    for o in off:
-        if o.is_empty or not o.intersects_input(t_cube):
-            continue
-        d = frozenset(
-            i for i in changing if not (o.literal(i) >> (1 if start[i] else 0)) & 1
-        )
-        if not d:
-            raise ValueError(
-                "OFF cube contains the start point of a 1->0 transition; "
-                "the instance is ill-formed (f(A) must be 1)"
-            )
-        blockers.append(d)
-    if not blockers:
-        raise ValueError(
-            "no OFF cube meets the transition cube of a 1->0 transition; "
-            "the end point must be OFF"
-        )
-    hitting = minimal_hitting_sets(blockers)
-    cubes: List[Cube] = []
-    changing_set = set(changing)
-    for h in hitting:
-        freed = changing_set - h
-        cube = start_cube
-        for i in freed:
-            cube = cube.with_literal(i, LITERAL_DC)
-        cubes.append(cube)
-    return sorted(cubes)
+    entry = TransitionEntry(transition, Cover(off.n_inputs).columns(), off.columns())
+    return subcubes_from_blockers(
+        entry.n_inputs, entry.start, entry.changing, entry.blockers(0, True)
+    )
 
 
 def maximal_on_subcubes_brute(transition: Transition, on: Cover) -> List[Cube]:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
-from repro.cubes.cube import Cube
-from repro.cubes.cover import Cover
+from repro.cubes.cube import Cube, full_input_mask, mask01, minterm_bits
+from repro.cubes.cover import Cover, CoverColumns
 from repro.cubes.operations import transition_cube, changing_vars
+from repro.espresso.tautology import tautology_rows
 
 
 class TransitionKind(enum.Enum):
@@ -45,15 +47,19 @@ class Transition:
     def n_inputs(self) -> int:
         return len(self.start)
 
-    @property
+    @cached_property
     def cube(self) -> Cube:
         """The transition cube ``[start, end]`` (input part only)."""
         return transition_cube(self.start, self.end)
 
-    @property
+    @cached_property
     def changing(self) -> Tuple[int, ...]:
         """Indices of the input variables that change."""
         return changing_vars(self.start, self.end)
+
+    def __getstate__(self):
+        # Pickle the fields only, never the memoized properties.
+        return {"start": self.start, "end": self.end}
 
     def reversed(self) -> "Transition":
         """The transition traversed in the opposite direction."""
@@ -82,41 +88,163 @@ def classify_transition(
     return TransitionKind.STATIC_ZERO
 
 
-def _blocker_sets(
-    start: Sequence[int],
-    end: Sequence[int],
-    cover: Cover,
-    t_cube: Cube,
-) -> list:
-    """For each cover cube meeting ``[start, end]``: the changed-variable sets.
+class TransitionEntry:
+    """One transition's row of the transition table, built in a single
+    integer pass over (possibly multi-output) ON and OFF covers.
 
-    Returns ``(D, E)`` pairs where ``D`` is the set of changing variables that
-    *must* have flipped for a point of the cube to be reached
-    (``{i : start_i ∉ cube_i}``) and ``E`` those that *may* have flipped
-    (``{i : end_i ∈ cube_i}``).  Points of the cube inside the transition
-    cube correspond exactly to changed-sets ``S`` with ``D ⊆ S ⊆ E``.
+    Input parts use the positional encoding of :mod:`repro.cubes.cube`;
+    output parts one bit per output; changed-variable sets live on the low
+    bit of each variable's pair, like :func:`~repro.cubes.cube.dc_pairs`.
+
+    * ``start``, ``end``, ``cube``: minterm bits of ``A`` and ``B`` and the
+      transition cube ``[A, B]``; ``changing`` marks the variables that flip.
+    * ``on_start``, ``on_end``, ``off_start``, ``off_end``: the outputs whose
+      ON (OFF) cover contains ``A`` (``B``).
+    * ``on_meet``, ``off_meet``: one ``(outbits, raised, D, E)`` row per
+      cube meeting ``[A, B]``, in cover order.  ``raised`` is the cube's
+      cofactor by the transition cube (every non-changing variable raised
+      to don't-care); ``D``/``E`` are its changed-variable sets for the
+      ``A → B`` direction.
+
+    A meeting cube admits ``A_i``, ``B_i`` or both on every changing
+    variable ``i``.  So ``D ⊆ E``, its points inside ``[A, B]`` are exactly
+    the changed-sets ``S`` with ``D ⊆ S ⊆ E``, and its ``B → A`` sets are
+    ``changing & ~E`` and ``changing & ~D``.
     """
-    changing = changing_vars(start, end)
-    result = []
-    for c in cover:
-        if c.is_empty or not c.intersects_input(t_cube):
-            continue
-        d = frozenset(
-            i for i in changing if not (c.literal(i) >> (1 if start[i] else 0)) & 1
-        )
-        e = frozenset(
-            i for i in changing if (c.literal(i) >> (1 if end[i] else 0)) & 1
-        )
-        result.append((d, e))
-    return result
+
+    __slots__ = (
+        "transition",
+        "n_inputs",
+        "start",
+        "end",
+        "cube",
+        "changing",
+        "on_start",
+        "on_end",
+        "off_start",
+        "off_end",
+        "on_meet",
+        "off_meet",
+    )
+
+    def __init__(self, transition: Transition, on: CoverColumns, off: CoverColumns):
+        n = len(transition.start)
+        m01 = mask01(n)
+        s = minterm_bits(transition.start)
+        e = minterm_bits(transition.end)
+        tc = s | e
+        ch = tc & (tc >> 1) & m01
+        fixed = m01 & ~ch
+        raise_mask = fixed | (fixed << 1)
+        self.transition = transition
+        self.n_inputs = n
+        self.start, self.end, self.cube, self.changing = s, e, tc, ch
+        masks = []
+        for cols in (on, off):
+            at_start = at_end = 0
+            rows = []
+            cubes = cols.cubes
+            starts, ends = cols.meeting(s), cols.meeting(e)
+            meet = cols.meeting(tc)
+            while meet:
+                low = meet & -meet
+                meet ^= low
+                c = cubes[low.bit_length() - 1]
+                ci, co = c.inbits, c.outbits
+                if starts & low:
+                    at_start |= co
+                if ends & low:
+                    at_end |= co
+                x = s & ~ci
+                y = e & ci
+                rows.append((co, ci | raise_mask, (x | (x >> 1)) & ch, (y | (y >> 1)) & ch))
+            masks.append((at_start, at_end, rows))
+        (self.on_start, self.on_end, self.on_meet), (
+            self.off_start,
+            self.off_end,
+            self.off_meet,
+        ) = masks
+
+    def kind(self, j: int) -> Optional[TransitionKind]:
+        """Output ``j``'s transition type (ON wins over OFF), or ``None``
+        when an endpoint lies in neither cover."""
+        bit = 1 << j
+        if self.on_start & bit:
+            start_value = True
+        elif self.off_start & bit:
+            start_value = False
+        else:
+            return None
+        if self.on_end & bit:
+            end_value = True
+        elif self.off_end & bit:
+            end_value = False
+        else:
+            return None
+        return classify_transition(self.transition, start_value, end_value)
+
+    def undefined_outputs(self, outputs: int) -> int:
+        """The outputs among ``outputs`` for which some point of ``[A, B]``
+        lies in neither cover (a tautology of the raised rows per output)."""
+        full = full_input_mask(self.n_inputs)
+        rows = self.on_meet + self.off_meet
+        whole = 0
+        for co, raised, _, _ in rows:
+            if raised == full:
+                whole |= co
+        endpoints = (self.on_start | self.off_start) & (self.on_end | self.off_end)
+        undefined = outputs & ~whole & ~endpoints
+        pending = outputs & ~whole & endpoints
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            if not tautology_rows(
+                [raised for co, raised, _, _ in rows if co & bit], self.n_inputs
+            ):
+                undefined |= bit
+        return undefined
+
+    def hazard_outputs(self, start_on: int, end_on: int) -> int:
+        """The outputs with a function hazard when ``start_on``/``end_on``
+        mark the outputs that are 1 at ``A``/``B``.
+
+        Static transitions must not meet the other cover.  A falling output
+        is hazardous iff some OFF row ``o`` and ON row ``n`` of it have
+        ``D_o ⊆ E_n``; a rising one iff ``D_n ⊆ E_o`` (the falling test in
+        the ``B → A`` direction).  All outputs share one pass over the row
+        pairs.
+        """
+        on_out = off_out = 0
+        for co, _, _, _ in self.on_meet:
+            on_out |= co
+        for co, _, _, _ in self.off_meet:
+            off_out |= co
+        hazards = (start_on & end_on & off_out) | (~(start_on | end_on) & on_out)
+        dynamic = start_on ^ end_on
+        falling = start_on & ~end_on
+        for oo, _, od, oe in self.off_meet:
+            if not oo & dynamic:
+                continue
+            for no, _, nd, ne in self.on_meet:
+                common = oo & no & dynamic & ~hazards
+                if common:
+                    if not od & ~ne:
+                        hazards |= common & falling
+                    if not nd & ~oe:
+                        hazards |= common & ~falling
+        return hazards
+
+    def blockers(self, j: int, falling: bool) -> List[int]:
+        """``D`` of every OFF row of output ``j``, in the ``A → B``
+        (``falling``) or the ``B → A`` direction, in cover order."""
+        bit = 1 << j
+        if falling:
+            return [d for co, _, d, _ in self.off_meet if co & bit]
+        ch = self.changing
+        return [ch & ~e for co, _, _, e in self.off_meet if co & bit]
 
 
-def function_hazard_free(
-    transition: Transition,
-    on: Cover,
-    off: Cover,
-    kind: Optional[TransitionKind] = None,
-) -> bool:
+def function_hazard_free(transition: Transition, on: Cover, off: Cover) -> bool:
     """True iff the (single-output) function is function-hazard-free over the
     transition.
 
@@ -132,27 +260,8 @@ def function_hazard_free(
       condition: there must be no ON cube ``n`` and OFF cube ``o`` meeting
       the transition cube with ``D_o ⊆ E_n``.
     """
-    t_cube = transition.cube
-    if kind is None:
-        sv = on.evaluate(transition.start)
-        ev = on.evaluate(transition.end)
-        kind = classify_transition(transition, sv, ev)
-    if kind is TransitionKind.STATIC_ONE:
-        return not any(o.intersects_input(t_cube) for o in off if not o.is_empty)
-    if kind is TransitionKind.STATIC_ZERO:
-        return not any(c.intersects_input(t_cube) for c in on if not c.is_empty)
-    if kind is TransitionKind.RISING:
-        return function_hazard_free(
-            transition.reversed(), on, off, TransitionKind.FALLING
-        )
-    # FALLING: f(start)=1, f(end)=0.
-    off_sets = _blocker_sets(transition.start, transition.end, off, t_cube)
-    on_sets = _blocker_sets(transition.start, transition.end, on, t_cube)
-    for d_o, _ in off_sets:
-        for _, e_n in on_sets:
-            if d_o <= e_n:
-                return False
-    return True
+    entry = TransitionEntry(transition, on.columns(), off.columns())
+    return not entry.hazard_outputs(entry.on_start & 1, entry.on_end & 1) & 1
 
 
 def function_hazard_free_brute(

@@ -278,8 +278,8 @@ def build_instance(
     on, off = build_function(
         src, n_inputs, n_outputs, config.min_on_cubes, config.max_on_cubes
     )
-    on_by = [on.restrict_to_output(j) for j in range(n_outputs)]
-    off_by = [off.restrict_to_output(j) for j in range(n_outputs)]
+    on_by = on.split_outputs()
+    off_by = off.split_outputs()
     target = src.integer(config.min_transitions, config.max_transitions)
     transitions: List[Transition] = []
     seen = set()

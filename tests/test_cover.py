@@ -43,6 +43,15 @@ class TestCoverBasics:
         g1 = f.restrict_to_output(1)
         assert len(g1) == 2
 
+    def test_split_outputs_is_restrict_per_output(self):
+        f = Cover.from_strings(["1- 100", "-1 011", "11 110", "0- 000"])
+        split = f.split_outputs()
+        assert len(split) == 3
+        for j, g in enumerate(split):
+            expected = f.restrict_to_output(j)
+            assert (g.n_inputs, g.n_outputs) == (expected.n_inputs, 1)
+            assert g.cubes == expected.cubes  # cover order kept
+
     def test_contains_cube(self):
         f = Cover.from_strings(["1--", "-11"])
         assert f.contains_cube(Cube.from_string("10-"))

@@ -99,6 +99,18 @@ class TestPredicates:
         assert c.contains_minterm([1, 1, 0])
         assert not c.contains_minterm([0, 1, 0])
 
+    def test_contains_minterm_matches_literal_loop(self):
+        import itertools
+
+        from tests.hazards_ref import contains_minterm
+
+        vectors = [v for k in (2, 3, 4) for v in itertools.product((0, 1), repeat=k)]
+        for lits in itertools.product(range(4), repeat=3):  # EMPTY included
+            c = Cube.from_literals(lits)
+            for v in vectors:
+                assert c.contains_minterm(v) == contains_minterm(c, v), (c, v)
+        assert not Cube.from_literals([LITERAL_DC, LITERAL_EMPTY]).contains_minterm([0, 0])
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             Cube.from_string("10").intersects(Cube.from_string("100"))

@@ -103,6 +103,21 @@ class TestTransition:
         t = Transition((0, 1), (1, 0))
         assert t.reversed() == Transition((1, 0), (0, 1))
 
+    def test_memoized_cube_keeps_equality_hash_and_pickle(self):
+        import copy
+        import pickle
+
+        fresh = Transition((0, 1, 0), (1, 1, 1))
+        used = Transition((0, 1, 0), (1, 1, 1))
+        before = pickle.dumps(used)
+        assert used.cube is used.cube and used.changing is used.changing
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == before == pickle.dumps(fresh)
+        for clone in (pickle.loads(before), copy.deepcopy(used)):
+            assert clone == used and hash(clone) == hash(used)
+            assert clone.cube == used.cube and clone.changing == (0, 2)
+        assert repr(used) == "Transition(start=(0, 1, 0), end=(1, 1, 1))"
+
     def test_bad_vectors_rejected(self):
         with pytest.raises(ValueError):
             Transition((0, 2), (1, 1))

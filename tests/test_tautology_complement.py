@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cubes import Cube, Cover
 from repro.espresso import tautology, complement, cover_contains_cube
 from repro.espresso.complement import complement_cube
+from repro.espresso.tautology import _most_binate, tautology_rows
 from repro.espresso.unate import is_unate, select_binate_var, column_counts
+from repro.cubes.cube import mask01
 
 
 def random_cover(draw, n_inputs, max_cubes=6):
@@ -85,6 +87,31 @@ class TestTautology:
             for v in itertools.product((0, 1), repeat=cover.n_inputs)
         )
         assert tautology(cover) == brute
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=7
+            ).map(lambda rows: (n, rows))
+        )
+    )
+    def test_rows_match_brute_force_with_empty_literals(self, shape):
+        # The integer core also sees rows with an EMPTY literal (code 0).
+        n, literal_rows = shape
+        cubes = [Cube.from_literals(r) for r in literal_rows]
+        brute = all(
+            any(c.contains_minterm(v) for c in cubes)
+            for v in itertools.product((0, 1), repeat=n)
+        )
+        assert tautology_rows([c.inbits for c in cubes], n) == brute
+
+    @settings(max_examples=100, deadline=None)
+    @given(cover_strategy)
+    def test_split_variable_is_select_binate_var(self, cover):
+        low = _most_binate([c.inbits for c in cover], mask01(cover.n_inputs))
+        var = select_binate_var(cover)
+        assert low == (0 if var is None else 1 << (2 * var))
 
 
 class TestCoverContainsCube:
