@@ -164,7 +164,7 @@ def run_differential_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         MalformedInstance,
         NoSolutionError,
     )
-    from repro.guard.runner import _apply_option_faults, _apply_preflight_faults
+    from repro.guard.inject import apply_option_faults, apply_preflight_faults
     from repro.hazards.verify import verify_hazard_free_cover
     from repro.hf.espresso_hf import espresso_hf
     from repro.obs import MetricsRegistry, TIME_BUCKETS_S
@@ -184,7 +184,7 @@ def run_differential_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
     inject = payload.get("inject") or {}
     if inject:
-        _apply_preflight_faults(inject, payload)
+        apply_preflight_faults(inject, payload)
     try:
         instance = parse_pla(payload["pla_text"], name=name).to_instance()
     except (PlaError, MalformedInstance, ValueError, KeyError) as exc:
@@ -199,7 +199,7 @@ def run_differential_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     options = options_from_dict(payload.get("options", {}))
     if inject:
-        _apply_option_faults(inject, options)
+        apply_option_faults(inject, options)
 
     # --- heuristic side -------------------------------------------------
     hf_cubes: Optional[int] = None

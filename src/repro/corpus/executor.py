@@ -1,7 +1,7 @@
-"""Work-stealing shard executor: shared queue, crash isolation, resume.
+"""Shard executor: shared queue, crash isolation, resume.
 
-The generalization of :mod:`repro.guard.runner`'s batch runner that a
-1k–10k instance corpus needs.  Three ideas compose:
+The corpus-scale front end of :func:`repro.guard.runner.run_isolated`,
+the package's one crash-isolated process scheduler.  Three ideas compose:
 
 **Work stealing over a shared queue.**  Payloads go into one pending
 queue; up to ``jobs`` worker *slots* pull from it, and a slot takes the
@@ -12,14 +12,15 @@ behind the slowest shard; the shared queue keeps every slot busy until
 the queue drains.
 
 **Crash isolation via single-shot processes.**  Each task runs in its own
-freshly forked process (the PR 7 crash-safe design): a worker SIGKILLed
-mid-task yields a structured ``worker_crashed`` row for *that* task —
-exit signal attached, retried up to ``retries`` times since a vanished
-worker does not indict the instance — while every other task proceeds.
-A long-lived pool cannot promise that (a dead pool worker can hang
-``Pool.map`` forever), and a hang is the one failure a 10k-instance
-overnight run cannot absorb.  Per-task wall-clock timeouts terminate
-overrunners the same way.
+freshly forked process: a worker SIGKILLed mid-task yields a structured
+``worker_crashed`` row for *that* task — exit signal attached, retried up
+to ``retries`` times since a vanished worker does not indict the
+instance — while every other task proceeds.  A long-lived pool cannot
+promise that (a dead pool worker can hang ``Pool.map`` forever), and a
+hang is the one failure a 10k-instance overnight run cannot absorb.
+Per-task wall-clock timeouts terminate overrunners the same way.  Both
+ideas live in the scheduler; this module adds task identity and
+bookkeeping.
 
 **Resumable checkpointing.**  Completed rows append to an NDJSON
 checkpoint file keyed by task id, flushed per row.  Re-running the same
@@ -39,19 +40,12 @@ nothing fancier than an ssh pipe.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import queue as queue_mod
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-
-def _minimize_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.guard.runner import minimize_payload
-
-    return minimize_payload(payload)
+from repro.guard.runner import minimize_payload, run_isolated
 
 
 def _differential_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -63,7 +57,7 @@ def _differential_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 #: payload["worker"] -> in-process body; every body returns a structured
 #: row and never raises (the isolation boundary catches what slips)
 WORKERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    "minimize": _minimize_worker,
+    "minimize": minimize_payload,
     "differential": _differential_worker,
 }
 
@@ -76,6 +70,11 @@ def resolve_worker(payload: Dict[str, Any]) -> Callable[[Dict[str, Any]], Dict[s
             f"unknown worker {name!r}; known: {sorted(WORKERS)}"
         )
     return worker
+
+
+def _dispatch(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The isolated worker body: run the payload's registered worker."""
+    return resolve_worker(payload)(payload)
 
 
 def task_id(payload: Dict[str, Any]) -> str:
@@ -150,85 +149,13 @@ class Checkpoint:
             self._fh = None
 
 
-# ----------------------------------------------------------------------
-# Isolated single-task execution (the shard cell)
-# ----------------------------------------------------------------------
-
-
-def _child_main(payload: Dict[str, Any], out_queue) -> None:  # pragma: no cover
-    """Subprocess entry: resolve the worker, run, ship the row, exit."""
-    try:
-        row = resolve_worker(payload)(payload)
-    except BaseException as exc:  # noqa: BLE001 - last-resort isolation
-        from repro.guard.bundle import describe_exception
-
-        row = {
-            "name": payload.get("name", "instance"),
-            "status": "crash",
-            "error": describe_exception(exc),
-            "bundle_path": None,
-        }
-    try:
-        out_queue.put(row)
-    except Exception:  # noqa: BLE001 - parent will report worker_crashed
-        pass
-
-
 def run_task_isolated(
     payload: Dict[str, Any],
     timeout_s: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Run one task in its own process with a wall-clock timeout.
-
-    The single-slot building block (``jobs=1`` semantics of the executor,
-    and the remote shard's per-task cell in :mod:`repro.corpus.worker`).
-    """
-    from repro.guard.runner import (
-        _timeout_bundle,
-        _worker_crashed_row,
-        timeout_message,
-    )
-
-    timeout = payload.get("timeout_s") or timeout_s
-    name = payload.get("name", "instance")
-    ctx = multiprocessing.get_context()
-    out_queue = ctx.Queue()
-    proc = ctx.Process(target=_child_main, args=(payload, out_queue), daemon=True)
-    t0 = time.perf_counter()
-    proc.start()
-    deadline = None if timeout is None else t0 + timeout
-    row: Optional[Dict[str, Any]] = None
-    while row is None:
-        try:
-            row = out_queue.get(timeout=0.05)
-        except queue_mod.Empty:
-            if deadline is not None and time.perf_counter() >= deadline:
-                proc.terminate()
-                proc.join()
-                row = {
-                    "name": name,
-                    "status": "timeout",
-                    "time_s": round(time.perf_counter() - t0, 6),
-                    "error": timeout_message(timeout),
-                    "bundle_path": _timeout_bundle(
-                        payload, payload.get("bundle_dir"), timeout
-                    ),
-                }
-                break
-            if not proc.is_alive():
-                try:
-                    row = out_queue.get(timeout=0.5)
-                except queue_mod.Empty:
-                    row = _worker_crashed_row(
-                        name, proc.exitcode, time.perf_counter() - t0
-                    )
-                break
-    proc.join(timeout=1.0)
-    if proc.is_alive():  # pragma: no cover - defensive cleanup
-        proc.terminate()
-        proc.join()
-    row.setdefault("time_s", round(time.perf_counter() - t0, 6))
-    return row
+    """Run one task in its own process with a wall-clock timeout (the
+    remote shard's per-task cell in :mod:`repro.corpus.worker`)."""
+    return run_isolated([payload], 1, worker=_dispatch, timeout_s=timeout_s)[0]
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +187,9 @@ class ExecutorStats:
         }
 
 
-@dataclass
-class _Slot:
-    proc: Any
-    queue: Any
-    idx: int
-    t0: float
-    deadline: Optional[float]
-
-
 class ShardExecutor:
-    """Shared-queue scheduler over crash-isolated single-shot processes.
+    """Task identity, checkpointing and stats over
+    :func:`~repro.guard.runner.run_isolated`.
 
     Parameters
     ----------
@@ -331,8 +250,7 @@ class ShardExecutor:
 
         rows: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         done = self.checkpoint.load() if self.checkpoint else {}
-        pending: deque[int] = deque()
-        attempts: Dict[int, int] = {}
+        todo: List[int] = []
         for i, tid in enumerate(ids):
             if tid in done:
                 row = dict(done[tid], from_checkpoint=True)
@@ -341,124 +259,36 @@ class ShardExecutor:
                 if self.on_row:
                     self.on_row(tid, row)
             else:
-                pending.append(i)
-                attempts[i] = 0
+                todo.append(i)
 
-        active: Dict[int, _Slot] = {}
-        ctx = multiprocessing.get_context()
+        def finish(k: int, row: Dict[str, Any], attempt: int) -> None:
+            idx = todo[k]
+            rows[idx] = row
+            stats.executed += 1
+            stats.retries += attempt
+            if row.get("status") == "timeout":
+                stats.timeouts += 1
+            elif row.get("status") == "worker_crashed":
+                stats.worker_crashes += 1
+            if self.checkpoint:
+                self.checkpoint.append(ids[idx], row)
+            if self.on_row:
+                self.on_row(ids[idx], row)
+
         try:
-            while pending or active:
-                # fill free slots from the shared queue (the "steal")
-                while pending and len(active) < self.jobs:
-                    idx = pending.popleft()
-                    payload = dict(payloads[idx], attempt=attempts[idx])
-                    out_queue = ctx.Queue()
-                    proc = ctx.Process(
-                        target=_child_main,
-                        args=(payload, out_queue),
-                        daemon=True,
-                    )
-                    t0 = time.perf_counter()
-                    proc.start()
-                    timeout = payload.get("timeout_s") or self.timeout_s
-                    active[idx] = _Slot(
-                        proc=proc,
-                        queue=out_queue,
-                        idx=idx,
-                        t0=t0,
-                        deadline=None if timeout is None else t0 + timeout,
-                    )
-                progressed = False
-                for idx in list(active):
-                    slot = active[idx]
-                    row = self._poll_slot(slot, payloads[idx])
-                    if row is None:
-                        continue
-                    progressed = True
-                    del active[idx]
-                    if (
-                        row.get("status") == "worker_crashed"
-                        and attempts[idx] < self.retries
-                    ):
-                        attempts[idx] += 1
-                        stats.retries += 1
-                        pending.append(idx)
-                        continue
-                    self._finish(ids[idx], idx, row, rows, stats)
-                if not progressed and active:
-                    time.sleep(0.01)
+            run_isolated(
+                [dict(payloads[i], attempt=0) for i in todo],
+                self.jobs,
+                worker=_dispatch,
+                timeout_s=self.timeout_s,
+                retries=self.retries,
+                on_row=finish,
+            )
         finally:
-            for slot in active.values():  # pragma: no cover - interrupt path
-                slot.proc.terminate()
-                slot.proc.join()
             if self.checkpoint:
                 self.checkpoint.close()
         stats.wall_s = time.perf_counter() - t_start
         return [r for r in rows if r is not None], stats
-
-    def _poll_slot(
-        self, slot: _Slot, payload: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        from repro.guard.runner import (
-            _timeout_bundle,
-            _worker_crashed_row,
-            timeout_message,
-        )
-
-        row: Optional[Dict[str, Any]] = None
-        try:
-            row = slot.queue.get_nowait()
-        except queue_mod.Empty:
-            now = time.perf_counter()
-            if slot.deadline is not None and now >= slot.deadline:
-                slot.proc.terminate()
-                slot.proc.join()
-                timeout = slot.deadline - slot.t0
-                row = {
-                    "name": payload.get("name", "instance"),
-                    "status": "timeout",
-                    "time_s": round(now - slot.t0, 6),
-                    "error": timeout_message(timeout),
-                    "bundle_path": _timeout_bundle(
-                        payload, payload.get("bundle_dir"), timeout
-                    ),
-                }
-            elif not slot.proc.is_alive():
-                try:
-                    row = slot.queue.get(timeout=0.5)
-                except queue_mod.Empty:
-                    row = _worker_crashed_row(
-                        payload.get("name", "instance"),
-                        slot.proc.exitcode,
-                        now - slot.t0,
-                    )
-        if row is not None:
-            row.setdefault("time_s", round(time.perf_counter() - slot.t0, 6))
-            slot.proc.join(timeout=1.0)
-            if slot.proc.is_alive():  # pragma: no cover - defensive cleanup
-                slot.proc.terminate()
-                slot.proc.join()
-        return row
-
-    def _finish(
-        self,
-        tid: str,
-        idx: int,
-        row: Dict[str, Any],
-        rows: List[Optional[Dict[str, Any]]],
-        stats: ExecutorStats,
-    ) -> None:
-        rows[idx] = row
-        stats.executed += 1
-        status = row.get("status")
-        if status == "timeout":
-            stats.timeouts += 1
-        elif status == "worker_crashed":
-            stats.worker_crashes += 1
-        if self.checkpoint:
-            self.checkpoint.append(tid, row)
-        if self.on_row:
-            self.on_row(tid, row)
 
 
 def run_corpus(

@@ -17,8 +17,7 @@ hooks are inert here and the driver still returns a plain
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cubes.cube import Cube
@@ -41,38 +40,11 @@ class EspressoOptions:
     ``max_outer_iterations`` caps the outer REDUCE/EXPAND/IRREDUNDANT +
     LAST_GASP loop, matching
     :attr:`repro.hf.espresso_hf.EspressoHFOptions.max_outer_iterations`.
-    ``max_iterations`` is the deprecated pre-unification name and still
-    works as a constructor argument and attribute alias.
     """
 
     use_essentials: bool = True
     use_last_gasp: bool = True
     max_outer_iterations: int = 20
-    max_iterations: InitVar[Optional[int]] = None
-
-    def __post_init__(self, max_iterations: Optional[int]) -> None:
-        if max_iterations is not None:
-            warnings.warn(
-                "EspressoOptions.max_iterations is deprecated; use "
-                "max_outer_iterations",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.max_outer_iterations = max_iterations
-
-
-def _get_max_iterations(self: EspressoOptions) -> int:
-    return self.max_outer_iterations
-
-
-def _set_max_iterations(self: EspressoOptions, value: int) -> None:
-    self.max_outer_iterations = value
-
-
-# Read/write alias so code written against the old name keeps working.
-EspressoOptions.max_iterations = property(
-    _get_max_iterations, _set_max_iterations
-)
 
 
 class EspressoState(PipelineState):

@@ -10,8 +10,9 @@ guarantees a long batch run needs:
   cross-check, with automatic fallback to the scalar engine;
 * :mod:`repro.guard.bundle` / :mod:`repro.guard.shrink` — self-contained,
   delta-debugged failure repro bundles under ``artifacts/``;
-* :mod:`repro.guard.runner` — subprocess isolation with per-item timeouts
-  and structured status rows;
+* :mod:`repro.guard.runner` — the crash-isolated process scheduler
+  (:func:`run_isolated`) with per-item timeouts and structured status
+  rows;
 * :mod:`repro.guard.errors` — the error taxonomy (:class:`HFError` and
   friends) with CLI exit codes.
 
@@ -47,6 +48,7 @@ __all__ = [
     "probe_failure",
     "shrink_instance",
     "guarded_espresso_hf",
+    "run_isolated",
     "run_one",
     "run_batch",
     "run_pool",
@@ -62,6 +64,7 @@ _LAZY = {
     "probe_failure": "repro.guard.bundle",
     "shrink_instance": "repro.guard.shrink",
     "guarded_espresso_hf": "repro.guard.runner",
+    "run_isolated": "repro.guard.runner",
     "run_one": "repro.guard.runner",
     "run_batch": "repro.guard.runner",
     "run_pool": "repro.guard.runner",

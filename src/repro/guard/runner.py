@@ -1,4 +1,4 @@
-"""Guarded single-run wrapper and subprocess-isolated batch runner.
+"""Guarded single-run wrapper and the crash-isolated process scheduler.
 
 Two layers:
 
@@ -10,28 +10,31 @@ Two layers:
     (:mod:`repro.guard.shrink`), and attaches the bundle path to the
     exception / result trace before propagating.
 
-:func:`run_one` / :func:`run_batch`
-    Process isolation: each work item (a benchmark circuit or a PLA text)
-    runs in its own subprocess with a wall-clock timeout, and the parent
-    receives a structured, JSON-ready row per item —
-    ``status ∈ {ok, degraded, budget_exceeded, no_solution,
-    invariant_violation, malformed, crash, timeout}`` plus metrics and the
-    bundle path, never an exception.  One pathological circuit can
-    therefore never take down a Figure-8 sweep: it times out or crashes
-    *in its own process* and the batch report simply records that.
+:func:`run_isolated`
+    Process isolation: each work item (a benchmark circuit, a PLA text, a
+    corpus task) runs in its own single-shot subprocess with a wall-clock
+    timeout, and the parent receives a structured, JSON-ready row per
+    item — ``status ∈ ROW_STATUSES`` plus metrics and the bundle path,
+    never an exception.  One pathological circuit can therefore never
+    take down a Figure-8 sweep: it times out or crashes *in its own
+    process* and the batch report simply records that.
 
-``scripts/bench_hf.py`` and the CLI's ``--timeout`` mode run on this
-module.  Work items are plain dicts (see :func:`benchmark_payload` /
-:func:`pla_payload`) so they cross the process boundary without pickling
-any library objects.
+This is the only place in the package that starts a worker process.
+:func:`run_one`, :func:`run_batch` and :func:`run_pool` are thin
+wrappers over it; ``scripts/bench_hf.py``, the CLI's ``--timeout`` and
+``--jobs`` modes, every ``serve`` cache miss and the corpus
+:class:`~repro.corpus.executor.ShardExecutor` all run on it.  Work items
+are plain dicts (see :func:`benchmark_payload` / :func:`pla_payload`) so
+they cross the process boundary without pickling any library objects.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import time
-from typing import Any, Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.guard.bundle import (
     describe_exception,
@@ -47,6 +50,7 @@ from repro.guard.errors import (
     NoSolutionError,
     signal_name,
 )
+from repro.guard.inject import apply_option_faults, apply_preflight_faults
 from repro.guard.shrink import shrink_instance
 
 #: statuses a batch row can carry (superset of HFResult.status).
@@ -201,95 +205,6 @@ def guarded_espresso_hf(
 
 
 # ----------------------------------------------------------------------
-# Test-only fault injection (the ``inject`` payload seam)
-# ----------------------------------------------------------------------
-#
-# A payload may carry an ``inject`` dict that makes the worker misbehave on
-# purpose — the fault-injection suites for the batch runner and the serve
-# daemon are built on it (docs/SERVICE.md "Fault injection").  Supported
-# keys:
-#
-# ``kill``              kill this worker with SIGKILL, unconditionally
-# ``kill_attempts``     list of attempt numbers (``payload["attempt"]``,
-#                       maintained by the retrying supervisor) to kill on —
-#                       attempt 0 killed / attempt 1 clean models a
-#                       transient crash that a retry survives
-# ``kill_prob`` +       probabilistic kill, derandomized per
-# ``seed``              (seed, name, attempt) so replays are deterministic
-# ``sleep_s``           sleep before minimizing (forces the parent timeout)
-# ``defect``            install one :data:`repro.proptest.faults.DEFECTS`
-#                       corruption through the ``pass_decorator`` seam
-# ``raise``             raise from the first pipeline pass via the same
-#                       seam: ``"malformed"`` -> MalformedInstance,
-#                       anything else -> RuntimeError
-#
-# Kills are honoured only inside a worker process (never in MainProcess),
-# so an accidental ``inject`` on an in-process call cannot take down the
-# caller.  The serve daemon forwards ``inject`` only when started with
-# ``--allow-test-faults``.
-
-
-def _apply_preflight_faults(inject: Dict[str, Any], payload: Dict[str, Any]) -> None:
-    """Kill / delay faults, applied before any real work starts."""
-    attempt = int(payload.get("attempt", 0))
-    kill = bool(inject.get("kill")) or attempt in set(
-        inject.get("kill_attempts") or ()
-    )
-    prob = float(inject.get("kill_prob") or 0.0)
-    if not kill and prob > 0.0:
-        import random
-
-        token = f"{inject.get('seed', 0)}:{payload.get('name', '')}:{attempt}"
-        kill = random.Random(token).random() < prob
-    if kill and multiprocessing.current_process().name != "MainProcess":
-        import os
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    if inject.get("sleep_s"):
-        time.sleep(float(inject["sleep_s"]))
-
-
-class _RaisingPass:
-    """Pipeline pass replacement that raises instead of running."""
-
-    def __init__(self, inner, exc_factory):
-        self.inner = inner
-        self.name = inner.name
-        self._exc_factory = exc_factory
-
-    def run(self, state):
-        raise self._exc_factory()
-
-
-def _apply_option_faults(inject: Dict[str, Any], options) -> None:
-    """Pipeline-level faults, installed through the pass_decorator seam."""
-    defect = inject.get("defect")
-    raise_kind = inject.get("raise")
-    if defect:
-        from repro.proptest.faults import DEFECTS, fault_decorator
-
-        options.pass_decorator = fault_decorator(DEFECTS[defect])
-    elif raise_kind:
-        if raise_kind == "malformed":
-            def factory():
-                return MalformedInstance("injected malformed-instance fault")
-        else:
-            def factory():
-                return RuntimeError(f"injected fault: {raise_kind}")
-
-        raised = []
-
-        def decorate(pass_):
-            if raised:
-                return pass_
-            raised.append(pass_.name)
-            return _RaisingPass(pass_, factory)
-
-        options.pass_decorator = decorate
-
-
-# ----------------------------------------------------------------------
 # Work-item payloads
 # ----------------------------------------------------------------------
 
@@ -424,7 +339,7 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     bundle_dir = payload.get("bundle_dir")
     inject = payload.get("inject") or {}
     if inject:
-        _apply_preflight_faults(inject, payload)
+        apply_preflight_faults(inject, payload)
     try:
         instance = _build_instance(payload)
     except (PlaError, MalformedInstance, ValueError, KeyError) as exc:
@@ -439,7 +354,7 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     options = options_from_dict(payload.get("options", {}))
     options.checked = bool(payload.get("checked", False))
     if inject:
-        _apply_option_faults(inject, options)
+        apply_option_faults(inject, options)
     collect_spans = bool(payload.get("collect_spans"))
     capture_session = bool(payload.get("capture_session"))
     warm_text_match = bool(payload.get("warm_text_match"))
@@ -589,10 +504,15 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return row
 
 
-def _child_main(payload: Dict[str, Any], out_queue) -> None:  # pragma: no cover
-    """Subprocess entry point: run the payload, ship the row, exit."""
+# ----------------------------------------------------------------------
+# The crash-isolated process scheduler
+# ----------------------------------------------------------------------
+
+
+def _child_main(worker, payload: Dict[str, Any], conn) -> None:  # pragma: no cover
+    """Subprocess entry point: run the payload, send the row, exit."""
     try:
-        row = minimize_payload(payload)
+        row = worker(payload)
     except BaseException as exc:  # noqa: BLE001 - last-resort isolation
         row = {
             "name": payload.get("name", "instance"),
@@ -601,9 +521,139 @@ def _child_main(payload: Dict[str, Any], out_queue) -> None:  # pragma: no cover
             "bundle_path": None,
         }
     try:
-        out_queue.put(row)
-    except Exception:  # noqa: BLE001 - parent will report a crash
+        conn.send(row)
+    except Exception:  # noqa: BLE001 - parent will report worker_crashed
         pass
+
+
+@dataclass
+class _Running:
+    """One live attempt: its payload, process, row pipe and clock."""
+
+    payload: Dict[str, Any]
+    proc: Any
+    reader: Any
+    t0: float
+    timeout: Optional[float]
+
+    def settle(self, ready) -> Optional[Dict[str, Any]]:
+        """The attempt's final row, or ``None`` while it is still running.
+
+        The pipe is read first, so a row sent just before the deadline
+        still wins.  ``send`` returns before the child can exit, so an
+        empty pipe (or EOF) once the sentinel fired means the child died
+        without reporting — there is nothing left in flight to wait for.
+        """
+        name = self.payload.get("name", "instance")
+        row: Optional[Dict[str, Any]] = None
+        if self.reader.poll():
+            try:
+                row = self.reader.recv()
+            except (EOFError, OSError):  # died before or while sending
+                pass
+        elif self.proc.sentinel not in ready:
+            if self.timeout is None or time.perf_counter() < self.t0 + self.timeout:
+                return None
+            self.proc.terminate()
+            row = {
+                "name": name,
+                "status": "timeout",
+                "time_s": round(time.perf_counter() - self.t0, 6),
+                "error": timeout_message(self.timeout),
+                "bundle_path": _timeout_bundle(self.payload, self.timeout),
+            }
+        elapsed = time.perf_counter() - self.t0
+        self.proc.join(timeout=1.0)
+        if self.proc.is_alive():  # pragma: no cover - defensive cleanup
+            self.proc.terminate()
+            self.proc.join()
+        if row is None:
+            return _worker_crashed_row(name, self.proc.exitcode, elapsed)
+        row.setdefault("time_s", round(elapsed, 6))
+        return row
+
+
+def run_isolated(
+    payloads: List[Dict[str, Any]],
+    jobs: int,
+    worker: Callable[[Dict[str, Any]], Dict[str, Any]] = minimize_payload,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    on_row: Optional[Callable[[int, Dict[str, Any], int], None]] = None,
+) -> List[Dict[str, Any]]:
+    """Run every payload in its own process, up to ``jobs`` at a time.
+
+    Each attempt is a fresh single-shot process running
+    ``worker(payload)``, which sends its row back over a one-way pipe.
+    The parent blocks in :func:`multiprocessing.connection.wait` on the
+    pipes and process sentinels until the first row, the first death or
+    the nearest deadline; a freed slot takes the next pending payload.
+
+    Every payload yields one row, never an exception: the worker's own
+    row (``status="crash"`` if it raised); ``status="timeout"`` past the
+    deadline (the ``timeout_s`` payload key, else the argument), with an
+    input bundle when the payload names a ``bundle_dir``; or
+    ``status="worker_crashed"`` when the process died without reporting.
+    Only the last is retried — up to ``retries`` times, with
+    ``payload["attempt"]`` bumped — since a vanished worker does not
+    indict the instance.
+
+    Rows come back in payload order; ``on_row(index, row, attempt)``
+    fires once per final row, in completion order.  An exception from
+    ``on_row`` (or an interrupt) terminates every live child before it
+    propagates.
+    """
+    from multiprocessing.connection import wait
+
+    jobs = max(1, int(jobs))
+    ctx = multiprocessing.get_context()
+    rows: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
+    requeued = [0] * len(payloads)
+    pending = deque(enumerate(payloads))
+    active: Dict[int, _Running] = {}
+    try:
+        while pending or active:
+            while pending and len(active) < jobs:
+                idx, payload = pending.popleft()
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_child_main, args=(worker, payload, writer), daemon=True
+                )
+                t0 = time.perf_counter()
+                proc.start()
+                writer.close()  # the child holds the only write end
+                timeout = payload.get("timeout_s") or timeout_s
+                active[idx] = _Running(payload, proc, reader, t0, timeout)
+            deadlines = [
+                r.t0 + r.timeout for r in active.values() if r.timeout is not None
+            ]
+            wait_s = (
+                max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
+            )
+            handles = [r.reader for r in active.values()]
+            handles += [r.proc.sentinel for r in active.values()]
+            ready = set(wait(handles, wait_s))
+            for idx in list(active):
+                running = active[idx]
+                row = running.settle(ready)
+                if row is None:
+                    continue
+                del active[idx]
+                running.reader.close()
+                attempt = int(running.payload.get("attempt", 0))
+                if row.get("status") == "worker_crashed" and requeued[idx] < retries:
+                    requeued[idx] += 1
+                    pending.append((idx, dict(running.payload, attempt=attempt + 1)))
+                    continue
+                rows[idx] = row
+                if on_row is not None:
+                    on_row(idx, row, attempt)
+    finally:
+        for running in active.values():
+            running.proc.terminate()
+            running.proc.join()
+            running.reader.close()
+    return rows
 
 
 def run_one(
@@ -616,49 +666,11 @@ def run_one(
     A ``timeout_s`` key in the payload overrides the argument.  On timeout
     the child is terminated and the row reports ``status="timeout"`` (with
     an input-preserving bundle when ``bundle_dir`` is set); on a child that
-    dies without reporting, ``status="crash"`` with the exit code.
+    dies without reporting, ``status="worker_crashed"`` with the exit code.
     """
-    timeout = payload.get("timeout_s") or timeout_s
     if bundle_dir:
         payload = dict(payload, bundle_dir=bundle_dir)
-    name = payload.get("name", "instance")
-    ctx = multiprocessing.get_context()
-    out_queue = ctx.Queue()
-    proc = ctx.Process(target=_child_main, args=(payload, out_queue), daemon=True)
-    t0 = time.perf_counter()
-    proc.start()
-    deadline = None if timeout is None else t0 + timeout
-    row: Optional[Dict[str, Any]] = None
-    while row is None:
-        try:
-            row = out_queue.get(timeout=0.05)
-        except queue_mod.Empty:
-            if deadline is not None and time.perf_counter() >= deadline:
-                proc.terminate()
-                proc.join()
-                row = {
-                    "name": name,
-                    "status": "timeout",
-                    "time_s": round(time.perf_counter() - t0, 6),
-                    "error": timeout_message(timeout),
-                    "bundle_path": _timeout_bundle(payload, bundle_dir, timeout),
-                }
-                break
-            if not proc.is_alive():
-                # One grace read: the row may have landed between polls.
-                try:
-                    row = out_queue.get(timeout=0.5)
-                except queue_mod.Empty:
-                    row = _worker_crashed_row(
-                        name, proc.exitcode, time.perf_counter() - t0
-                    )
-                break
-    proc.join(timeout=1.0)
-    if proc.is_alive():  # pragma: no cover - defensive cleanup
-        proc.terminate()
-        proc.join()
-    row.setdefault("time_s", round(time.perf_counter() - t0, 6))
-    return row
+    return run_isolated([payload], 1, timeout_s=timeout_s)[0]
 
 
 def _worker_crashed_row(
@@ -694,15 +706,14 @@ def worker_crashed_error(row: Dict[str, Any]) -> "WorkerCrashed":
 
 
 def timeout_message(timeout: float) -> str:
-    """The error text of a work item killed at its wall-clock deadline,
-    shared by every isolated runner (guard and corpus)."""
+    """The error text of a work item killed at its wall-clock deadline."""
     return f"exceeded per-instance timeout of {timeout:g}s"
 
 
-def _timeout_bundle(
-    payload: Dict[str, Any], bundle_dir: Optional[str], timeout: float
-) -> Optional[str]:
-    """Preserve a timed-out work item's input as a (non-shrunk) bundle."""
+def _timeout_bundle(payload: Dict[str, Any], timeout: float) -> Optional[str]:
+    """Preserve a timed-out work item's input as a (non-shrunk) bundle in
+    the payload's ``bundle_dir``, if it names one."""
+    bundle_dir = payload.get("bundle_dir")
     if not bundle_dir:
         return None
     try:
@@ -729,7 +740,9 @@ def run_batch(
     benchmark harness); a timeout or crash in one item never affects the
     rest of the batch.
     """
-    return [run_one(p, timeout_s=timeout_s, bundle_dir=bundle_dir) for p in payloads]
+    if bundle_dir:
+        payloads = [dict(p, bundle_dir=bundle_dir) for p in payloads]
+    return run_isolated(payloads, 1, timeout_s=timeout_s)
 
 
 def run_pool(
@@ -745,82 +758,14 @@ def run_pool(
     sub-runs and by the serve daemon's load tooling.  Rows come back in
     payload order, so the caller's merge is deterministic regardless of
     scheduling.  With ``jobs <= 1`` (or a single item) the items run in
-    this process — identical semantics, no pool overhead.
-
-    Each item gets its *own* single-shot process (a sliding window of up
-    to ``jobs`` of them), not a slot in a long-lived ``multiprocessing``
-    pool.  That costs one cheap fork per item and buys exact crash
-    attribution: a worker killed by a signal yields a structured
-    ``worker_crashed`` row for *its* item — exit code and signal included —
-    while every other item completes normally.  A shared pool cannot
-    promise that (a dead pool worker can hang ``Pool.map`` forever), and a
-    hang is the one failure mode a supervisor cannot retry its way out of.
-    A per-item ``timeout_s`` payload key (or the argument, as a default)
-    terminates overrunning workers just like :func:`run_one`.
+    this process — identical semantics, no process overhead.  Otherwise
+    each item gets its own single-shot process (:func:`run_isolated`),
+    so a worker killed by a signal yields a ``worker_crashed`` row for
+    *its* item while every other item completes normally.
     """
     if bundle_dir:
         payloads = [dict(p, bundle_dir=bundle_dir) for p in payloads]
     jobs = min(int(jobs), len(payloads))
     if jobs <= 1:
         return [minimize_payload(p) for p in payloads]
-    ctx = multiprocessing.get_context()
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    active: Dict[int, Any] = {}  # idx -> (proc, queue, t0, deadline)
-    next_idx = 0
-    while active or next_idx < len(payloads):
-        while next_idx < len(payloads) and len(active) < jobs:
-            payload = payloads[next_idx]
-            out_queue = ctx.Queue()
-            proc = ctx.Process(
-                target=_child_main, args=(payload, out_queue), daemon=True
-            )
-            t0 = time.perf_counter()
-            proc.start()
-            timeout = payload.get("timeout_s") or timeout_s
-            deadline = None if timeout is None else t0 + timeout
-            active[next_idx] = (proc, out_queue, t0, deadline)
-            next_idx += 1
-        progressed = False
-        for idx in list(active):
-            proc, out_queue, t0, deadline = active[idx]
-            row: Optional[Dict[str, Any]] = None
-            try:
-                row = out_queue.get_nowait()
-            except queue_mod.Empty:
-                now = time.perf_counter()
-                if deadline is not None and now >= deadline:
-                    proc.terminate()
-                    proc.join()
-                    timeout = deadline - t0
-                    row = {
-                        "name": payloads[idx].get("name", "instance"),
-                        "status": "timeout",
-                        "time_s": round(now - t0, 6),
-                        "error": timeout_message(timeout),
-                        "bundle_path": _timeout_bundle(
-                            payloads[idx],
-                            payloads[idx].get("bundle_dir"),
-                            timeout,
-                        ),
-                    }
-                elif not proc.is_alive():
-                    try:
-                        row = out_queue.get(timeout=0.5)
-                    except queue_mod.Empty:
-                        row = _worker_crashed_row(
-                            payloads[idx].get("name", "instance"),
-                            proc.exitcode,
-                            now - t0,
-                        )
-            if row is not None:
-                row.setdefault("time_s", round(time.perf_counter() - t0, 6))
-                rows[idx] = row
-                proc.join(timeout=1.0)
-                if proc.is_alive():  # pragma: no cover - defensive cleanup
-                    proc.terminate()
-                    proc.join()
-                del active[idx]
-                progressed = True
-        if not progressed and active:
-            time.sleep(0.01)
-    return rows
+    return run_isolated(payloads, jobs, timeout_s=timeout_s)

@@ -35,7 +35,7 @@ and every decision is counted through the shared
 Workers are **single-shot processes**: each attempt forks a fresh
 interpreter, so "automatic respawn" is structural — there is no pool
 process whose corpse can wedge the service (see
-:func:`repro.guard.runner.run_pool` for the same argument).
+:func:`repro.guard.runner.run_isolated`, the scheduler behind ``run_one``).
 """
 
 from __future__ import annotations

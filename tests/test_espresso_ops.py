@@ -65,22 +65,9 @@ class TestEspressoDriver:
 
     def test_max_iterations_respected(self):
         on = Cover(4, [Cube.from_index(4, m) for m in [0, 3, 5, 6, 9, 10, 12, 15]])
-        with pytest.warns(DeprecationWarning):
-            options = EspressoOptions(max_iterations=1)
+        options = EspressoOptions(max_outer_iterations=1)
         result = espresso(on, options=options)
         assert result.semantically_equal(on)
-
-    def test_max_iterations_is_deprecated_alias(self):
-        # The unified knob is max_outer_iterations (same name as
-        # EspressoHFOptions); the old name warns but keeps working both as
-        # a constructor argument and as a read/write attribute.
-        with pytest.warns(DeprecationWarning, match="max_outer_iterations"):
-            options = EspressoOptions(max_iterations=7)
-        assert options.max_outer_iterations == 7
-        assert options.max_iterations == 7
-        options.max_iterations = 3
-        assert options.max_outer_iterations == 3
-        assert EspressoOptions().max_outer_iterations == 20
 
     def test_is_cover_of_detects_overcoverage(self):
         on = Cover.from_strings(["11"])
