@@ -3,12 +3,14 @@
 
 The end-to-end check the unit suites cannot give: a separate
 ``espresso-hf serve`` *process* (not an in-thread server), hit with 50
-concurrent requests — including one malformed and one oversized — then
-drained with a real ``SIGTERM``.  Asserts:
+concurrent requests — including one malformed and one oversized — then,
+once all of them are answered, a second wave repeating each circuit the
+first wave solved, then drained with a real ``SIGTERM``.  Asserts:
 
 * every request is answered with the right status (zero hangs, bounded
   by a hard wall-clock);
-* cache hits actually happen under a repeating workload;
+* every second-wave repeat is answered from the cache (first-wave
+  repeats may coalesce instead, so they prove nothing about the cache);
 * ``SIGTERM`` produces a clean drain and exit code 0;
 * ``--metrics-out`` / ``--trace-out`` artifacts are written and
   well-formed (CI uploads them).
@@ -92,57 +94,78 @@ def main(argv=None) -> int:
         errors = []
         lock = threading.Lock()
 
-        def submit(i):
+        def submit(key, text):
             try:
                 with ServeClient(host, port, timeout_s=args.deadline) as c:
-                    if i == 1:
-                        reply = c.minimize(".i 2\n.o\n", req_id=f"r{i}")
-                    elif i == 2:
-                        reply = c.minimize(oversized, req_id=f"r{i}")
-                    else:
-                        name = CIRCUITS[i % len(CIRCUITS)]
-                        reply = c.minimize(plas[name], req_id=f"r{i}")
+                    reply = c.minimize(text, req_id=str(key))
                 with lock:
-                    replies[i] = reply
+                    replies[key] = reply
             except Exception as exc:  # noqa: BLE001
                 with lock:
-                    errors.append((i, repr(exc)))
+                    errors.append((key, repr(exc)))
 
-        threads = [
-            threading.Thread(target=submit, args=(i,))
-            for i in range(args.requests)
-        ]
-        t0 = time.monotonic()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=args.deadline)
-        if any(t.is_alive() for t in threads):
-            return fail("client threads hung — daemon not answering")
-        wall = time.monotonic() - t0
-        if errors:
-            return fail(f"transport errors: {errors[:5]}")
-        if len(replies) != args.requests:
-            return fail(f"{args.requests - len(replies)} requests unanswered")
+        def wave(jobs):
+            """Send every job at once; an error message, or None."""
+            threads = [
+                threading.Thread(target=submit, args=job) for job in jobs
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=args.deadline)
+            if any(t.is_alive() for t in threads):
+                return "client threads hung — daemon not answering"
+            if errors:
+                return f"transport errors: {errors[:5]}"
+            missing = [key for key, _ in jobs if key not in replies]
+            if missing:
+                return f"{len(missing)} requests unanswered"
+            return None
 
-        cached = 0
-        for i, reply in sorted(replies.items()):
+        # Wave 1: everything at once.  Repeats may coalesce onto one
+        # another, so this wave makes no claim about cache hits.
+        first = []
+        for i in range(args.requests):
             if i == 1:
+                first.append((f"r{i}", ".i 2\n.o\n"))
+            elif i == 2:
+                first.append((f"r{i}", oversized))
+            else:
+                first.append((f"r{i}", plas[CIRCUITS[i % len(CIRCUITS)]]))
+        t0 = time.monotonic()
+        problem = wave(first)
+        if problem:
+            return fail(problem)
+        for key, _ in first:
+            reply = replies[key]
+            if key == "r1":
                 if reply["status"] != "malformed":
                     return fail(f"malformed request got {reply['status']}")
-            elif i == 2:
+            elif key == "r2":
                 if reply["status"] != "shed" or reply.get("reason") != "oversized":
                     return fail(f"oversized request got {reply}")
-            else:
-                if reply["status"] != "ok":
-                    return fail(f"request {i} got {reply['status']}: "
-                                f"{reply.get('error')}")
-                cached += bool(reply.get("cached"))
-        if cached == 0:
-            return fail("no cache hits across a repeating workload")
+            elif reply["status"] != "ok":
+                return fail(f"request {key} got {reply['status']}: "
+                            f"{reply.get('error')}")
+
+        # Wave 2, once every wave-1 reply is in: one repeat of each
+        # circuit wave 1 solved.  Each must be answered from the cache.
+        solved = sorted({text for key, text in first if replies[key]["status"] == "ok"})
+        second = [(f"w2-{k}", text) for k, text in enumerate(solved)]
+        problem = wave(second)
+        if problem:
+            return fail(problem)
+        for key, _ in second:
+            reply = replies[key]
+            if reply["status"] != "ok" or not reply.get("cached"):
+                return fail(f"repeat {key} was not answered from the cache: "
+                            f"status {reply['status']}, cached {reply.get('cached')}")
+        wall = time.monotonic() - t0
+        total = len(first) + len(second)
         print(
-            f"serve-smoke: {args.requests} requests in {wall:.1f}s "
-            f"({cached} cache hits), malformed+oversized rejected explicitly"
+            f"serve-smoke: {total} requests in {wall:.1f}s "
+            f"({len(second)} repeats all cache hits), malformed+oversized "
+            f"rejected explicitly"
         )
 
         # Real SIGTERM: the daemon must drain and exit 0 on its own.
@@ -163,13 +186,13 @@ def main(argv=None) -> int:
         for metric in ("serve.admitted", "serve.cache_hits", "serve.shed_oversized"):
             if metric not in snapshot:
                 return fail(f"metrics snapshot missing {metric}")
-        if snapshot["serve.cache_hits"]["value"] < 1:
-            return fail("metrics disagree: no cache hits recorded")
+        if snapshot["serve.cache_hits"]["value"] < len(second):
+            return fail("metrics disagree: fewer cache hits than repeats")
         with open(trace_path) as fh:
             spans = [json.loads(line) for line in fh if line.strip()]
-        if len(spans) < args.requests:
+        if len(spans) < total:
             return fail(f"trace has {len(spans)} spans for "
-                        f"{args.requests} requests")
+                        f"{total} requests")
         print(
             f"serve-smoke: artifacts ok ({len(spans)} spans, "
             f"{len(snapshot)} metrics) -> {args.artifacts}/"

@@ -10,6 +10,12 @@ evaluation; an ``X`` output is a hazard, a wrong definite value is a
 functional mismatch.  Vertex points (no ``X``) double as functional
 endpoint checks.
 
+Points are judged in batches of up to :data:`CHECK_EVERY`: one dual-rail
+sweep (:meth:`~repro.detect.netlist.Netlist.eval_dual_rail`) gives the
+netlist's Kleene value at every point of the batch, then the points are
+walked in enumeration order with the stable value computed on integer
+rows (:func:`~repro.detect.ternary.stable_rows`) until the first failure.
+
 Two modes:
 
 * **exhaustive** — all ``3^k`` points of a ``k``-variable transition;
@@ -36,11 +42,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cubes.cover import Cover
+from repro.cubes.cube import LITERAL_DC, mask01, minterm_bits
 from repro.detect.netlist import Netlist
-from repro.detect.ternary import point_string, stable_value
+from repro.detect.ternary import cofactor_rows, point_string, stable_rows
 from repro.guard.budget import RunBudget
 from repro.guard.errors import BudgetExceeded
 from repro.hazards.instance import HazardFreeInstance
@@ -338,8 +346,8 @@ def detect_netlist(
     tracer = current_tracer()
     span = tracer.start("detect", netlist=netlist.name) if tracer else None
     supports = [netlist.support(j) for j in range(netlist.n_outputs)]
-    on_by_out = on.split_outputs()
-    off_by_out = off.split_outputs()
+    on_rows = [[c.inbits for c in cover] for cover in on.split_outputs()]
+    off_rows = [[c.inbits for c in cover] for cover in off.split_outputs()]
     rng = random.Random(options.seed)
     budget = options.budget
     exhausted = False
@@ -362,8 +370,8 @@ def detect_netlist(
                 try:
                     verdict = _detect_one(
                         netlist,
-                        on_by_out[j],
-                        off_by_out[j],
+                        on_rows[j],
+                        off_rows[j],
                         t,
                         j,
                         supports[j],
@@ -393,8 +401,8 @@ def detect_netlist(
 
 def _detect_one(
     netlist: Netlist,
-    on_j: Cover,
-    off_j: Cover,
+    on_rows: List[int],
+    off_rows: List[int],
     transition: Transition,
     output: int,
     support: frozenset,
@@ -406,22 +414,22 @@ def _detect_one(
     changing = transition.changing
     k = len(changing)
     start, end = transition.start, transition.end
+    n = netlist.n_inputs
     _Counters.bump(counters.transitions)
     if budget is not None:
         budget.charge_iteration("detect")
 
-    def spec_value(vec: Sequence[int]) -> Optional[int]:
-        if on_j.evaluate(vec):
-            return 1
-        if off_j.evaluate(vec):
-            return 0
-        return None
+    m01 = mask01(n)
+    full = m01 | (m01 << 1)
 
     # A transition whose endpoint value is don't-care for this output has
     # no TransitionKind: the specification places no hazard requirement on
     # it (Theorem 2.11 derives required cubes only for defined kinds), so
     # the detector must not assert either.
-    if spec_value(start) is None or spec_value(end) is None:
+    if any(
+        stable_rows(on_rows, off_rows, minterm_bits(vec), full, n) is None
+        for vec in (start, end)
+    ):
         return TransitionVerdict(
             transition, output, STATUS_UNCONSTRAINED, 3 ** k, 0, True
         )
@@ -438,71 +446,87 @@ def _detect_one(
     )
     if not relevant:
         points, exhaustive = iter(((0,) * k, (1,) * k)), True
+    # Batches draw up to CHECK_EVERY points ahead; a sampled walk that
+    # stops early rewinds the shared rng to just after its last point.
+    rng_state = None if exhaustive else rng.getstate()
+
+    # Point encoding: the stable inputs give the base mask, and each
+    # changing variable contributes its start, end or X pair per trit.
+    # Rows that miss the whole transition cube drop out once here.
+    base = minterm_bits(start)
+    lits = []
+    for p in changing:
+        pair = LITERAL_DC << (2 * p)
+        lits.append((base & pair, pair & ~base, pair))
+        base &= ~pair
+    cube = base | sum(lit[2] for lit in lits)
+    on_t = cofactor_rows(on_rows, cube, 0, m01)
+    off_t = cofactor_rows(off_rows, cube, 0, m01)
 
     checked = 0
     outcome: Optional[TransitionVerdict] = None
-    base = list(start)
-    for assign in points:
-        checked += 1
-        if budget is not None and checked % CHECK_EVERY == 0:
-            budget.checkpoint("detect")
-        point_list: List[Optional[int]] = base[:]
-        has_x = False
-        for pos, trit in zip(changing, assign):
-            if trit == 0:
-                point_list[pos] = start[pos]
-            elif trit == 1:
-                point_list[pos] = end[pos]
-            else:
-                point_list[pos] = None
-                has_x = True
-        point = tuple(point_list)
-        if not has_x:
-            vec = point
-            expected = spec_value(vec)
-            if expected is None:
-                continue
-            got = netlist.eval_gates(vec)[netlist.outputs[output]]
-            if got != expected:
-                _Counters.bump(counters.mismatches)
-                outcome = TransitionVerdict(
-                    transition,
-                    output,
-                    STATUS_MISMATCH,
-                    total,
-                    checked,
-                    exhaustive,
-                    _witness(netlist, transition, point, output, expected, got),
-                )
-                break
-            continue
-        expected = stable_value(point, on_j, off_j)
-        if expected is None:
-            continue  # the function itself is unstable here: no assertion
-        got = netlist.eval_gates_ternary(point)[netlist.outputs[output]]
-        if got is None:
-            _Counters.bump(counters.hazards)
-            outcome = TransitionVerdict(
-                transition,
-                output,
-                STATUS_HAZARD,
-                total,
-                checked,
-                exhaustive,
-                _witness(netlist, transition, point, output, expected, None),
-            )
+    while outcome is None:
+        batch = list(islice(points, CHECK_EVERY))
+        if not batch:
             break
-        if got != expected:
-            _Counters.bump(counters.mismatches)
+        every = (1 << len(batch)) - 1
+        can1 = [every if v else 0 for v in start]
+        can0 = [0 if v else every for v in start]
+        for pos in changing:
+            can1[pos] = can0[pos] = 0
+        for b, assign in enumerate(batch):
+            bit = 1 << b
+            for pos, trit in zip(changing, assign):
+                if trit == 2:
+                    can1[pos] |= bit
+                    can0[pos] |= bit
+                elif (start, end)[trit][pos]:
+                    can1[pos] |= bit
+                else:
+                    can0[pos] |= bit
+        out1, out0 = netlist.eval_dual_rail(output, can1, can0, len(batch))
+        for b, assign in enumerate(batch):
+            checked += 1
+            if budget is not None and checked % CHECK_EVERY == 0:
+                budget.checkpoint("detect")
+            d, lift = base, full
+            for lit, trit in zip(lits, assign):
+                d |= lit[trit]
+                if trit == 2:
+                    lift ^= lit[2]
+            expected = stable_rows(on_t, off_t, d, lift, n)
+            if expected is None:
+                continue  # the function itself is unstable here: no assertion
+            got = (out1 >> b) & 1
+            if got and (out0 >> b) & 1:
+                got = None
+            elif got == expected:
+                continue
+            point = list(start)
+            for pos, trit in zip(changing, assign):
+                point[pos] = None if trit == 2 else (start, end)[trit][pos]
+            if got is None:
+                _Counters.bump(counters.hazards)
+                status = STATUS_HAZARD
+            else:
+                _Counters.bump(counters.mismatches)
+                status = STATUS_MISMATCH
             outcome = TransitionVerdict(
                 transition,
                 output,
-                STATUS_MISMATCH,
+                status,
                 total,
                 checked,
                 exhaustive,
-                _witness(netlist, transition, point, output, expected, got),
+                _witness(netlist, transition, tuple(point), output, expected, got),
             )
+            if rng_state is not None:
+                rng.setstate(rng_state)
+                replay, _, _ = _transition_points(
+                    transition, "sampled", options.max_points, rng
+                )
+                for _ in islice(replay, checked):
+                    pass
             break
     _Counters.bump(counters.points, checked)
     if outcome is None:

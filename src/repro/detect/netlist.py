@@ -17,6 +17,11 @@ Design notes
   :mod:`repro.simulate.ternary`: ``None`` is the unstable value ``X``; an
   AND with a controlling 0 is 0 and an OR with a controlling 1 is 1 even
   when other fan-ins are ``X``.
+* :meth:`Netlist.eval_dual_rail` is the same Kleene evaluation for up to
+  64 points at once, over one output's fan-in cone: each wire carries a
+  can-be-1 and a can-be-0 point mask (``X`` sets both).  The detector
+  runs it; :meth:`Netlist.eval_gates_ternary` stays the per-point oracle
+  and produces the witness traces.
 * ``from_cover`` builds the canonical two-level realization (shared NOT
   gates on complemented inputs, one AND per distinct product, one OR per
   output) and ``as_cover`` inverts it for any netlist that still has that
@@ -89,7 +94,9 @@ class Netlist:
         Diagnostic name used in error messages and reports.
     """
 
-    __slots__ = ("name", "n_inputs", "gates", "outputs", "_index", "_depths")
+    __slots__ = (
+        "name", "n_inputs", "gates", "outputs", "_index", "_depths", "_cones"
+    )
 
     def __init__(
         self,
@@ -146,6 +153,7 @@ class Netlist:
         self.outputs = outputs
         self._index = index
         self._depths: Optional[Tuple[int, ...]] = None
+        self._cones: Dict[int, Tuple[Tuple[int, str, Tuple[int, ...]], ...]] = {}
 
     # ------------------------------------------------------------------
     # metrics
@@ -286,6 +294,65 @@ class Netlist:
     ) -> Tuple[Optional[int], ...]:
         values = self.eval_gates_ternary(inputs)
         return tuple(values[o] for o in self.outputs)
+
+    def eval_dual_rail(
+        self, output: int, can1: Sequence[int], can0: Sequence[int], width: int
+    ) -> Tuple[int, int]:
+        """Kleene evaluation of one output at ``width`` points in one sweep.
+
+        Bit ``p`` of ``can1[i]`` (``can0[i]``) says primary input ``i`` can
+        be 1 (0) at point ``p``: a stable input sets one rail, an ``X``
+        input both.  Every wire of the output's fan-in cone carries the
+        same pair of point masks: AND takes the AND of the can-be-1 masks
+        and the OR of the can-be-0 masks, OR is the dual, NOT swaps them.
+        Returns the output's ``(can1, can0)``; a point with both bits set
+        is ``X`` — exactly :meth:`eval_gates_ternary` at that point.
+        """
+        self._check_inputs(can1)
+        self._check_inputs(can0)
+        cone = self._cones.get(output)
+        if cone is None:
+            cone = self._cones[output] = self._cone(self.outputs[output])
+        every = (1 << width) - 1
+        one = list(can1) + [0] * (len(self.gates) - self.n_inputs)
+        zero = list(can0) + [0] * (len(self.gates) - self.n_inputs)
+        for i, op, fanin in cone:
+            if op == "and":
+                a, b = every, 0
+                for f in fanin:
+                    a &= one[f]
+                    b |= zero[f]
+            elif op == "or":
+                a, b = 0, every
+                for f in fanin:
+                    a |= one[f]
+                    b &= zero[f]
+            elif op == "not":
+                a, b = zero[fanin[0]], one[fanin[0]]
+            elif op == "const1":
+                a, b = every, 0
+            else:  # const0
+                a, b = 0, every
+            one[i] = a
+            zero[i] = b
+        root = self.outputs[output]
+        return one[root], zero[root]
+
+    def _cone(self, root: int) -> Tuple[Tuple[int, str, Tuple[int, ...]], ...]:
+        """The logic gates feeding ``root`` (itself included), in
+        topological order, as ``(index, op, fanin)``."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            for f in self.gates[stack.pop()].fanin:
+                if f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+        return tuple(
+            (i, self.gates[i].op, self.gates[i].fanin)
+            for i in sorted(seen)
+            if self.gates[i].op != "input"
+        )
 
     # ------------------------------------------------------------------
     # conversions

@@ -23,16 +23,18 @@ Komarath/Saurabh, "On the complexity of detecting hazards"):
 The *true* derivative needs function knowledge: :func:`stable_value`
 answers "is ``f`` constant on the cube of resolutions of ``x``?" from
 ON/OFF covers via cofactor + tautology (exact, no enumeration), with
-:func:`stable_value_brute` as the small-n oracle.
+:func:`stable_value_brute` as the small-n oracle.  :func:`stable_rows`
+is the same answer on integer rows (the covers' ``inbits``) and a point
+encoded as masks — the form the detector runs.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cubes.cube import Cube, LITERAL_DC, LITERAL_ONE, LITERAL_ZERO
+from repro.cubes.cube import Cube, LITERAL_ONE, LITERAL_ZERO, mask01
 from repro.cubes.cover import Cover
-from repro.espresso.tautology import tautology
+from repro.espresso.tautology import tautology, tautology_rows
 from repro.detect.netlist import Netlist
 
 #: A ternary vector: entries 0, 1, or None (= X, unstable).
@@ -79,6 +81,40 @@ def stable_value(
     if tautology(on.restrict_to_output(output).cofactor(cube)):
         return 1
     if tautology(off.restrict_to_output(output).cofactor(cube)):
+        return 0
+    return None
+
+
+def cofactor_rows(rows: Sequence[int], d: int, lift: int, m01: int) -> List[int]:
+    """:meth:`Cover.cofactor` on integer rows: every row whose meet with
+    ``d`` has no empty pair, raised by ``lift`` (``m01`` is
+    :func:`~repro.cubes.cube.mask01` of the input count)."""
+    out = []
+    for r in rows:
+        t = r & d
+        if (t | t >> 1) & m01 == m01:
+            out.append(r | lift)
+    return out
+
+
+def stable_rows(
+    on_rows: Sequence[int],
+    off_rows: Sequence[int],
+    d: int,
+    lift: int,
+    n_inputs: int,
+) -> Optional[int]:
+    """:func:`stable_value` on one output's ON and OFF rows at one point.
+
+    ``d`` is the input part of the point's cube (``X`` ↦ ``11``, 0 ↦
+    ``01``, 1 ↦ ``10``) and ``lift`` has ``11`` on every fixed pair, the
+    pairs the cofactor raises back to don't-care.  ON is tried first,
+    then OFF.
+    """
+    m01 = mask01(n_inputs)
+    if tautology_rows(cofactor_rows(on_rows, d, lift, m01), n_inputs):
+        return 1
+    if tautology_rows(cofactor_rows(off_rows, d, lift, m01), n_inputs):
         return 0
     return None
 

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cubes.cube import Cube, LITERAL_DC
+from repro.cubes.cube import Cube, LITERAL_DC, mask01
 from repro.cubes.cover import Cover
 from repro.detect.netlist import Netlist
 from repro.espresso.primes import PrimeExplosionError, all_primes
@@ -89,14 +89,27 @@ def expand_against_off(cube: Cube, off: Cover) -> Cube:
     The result is a prime implicant containing ``cube`` (single-output
     semantics; ``off`` is the OFF cover of one output).
     """
-    c = cube
-    for i in range(cube.n_inputs):
-        if c.literal(i) == LITERAL_DC:
+    inbits = _expand_rows(cube.inbits, [o.inbits for o in off], cube.n_inputs)
+    return Cube(cube.n_inputs, inbits, cube.outbits, cube.n_outputs)
+
+
+def _expand_rows(inbits: int, off_rows: Sequence[int], n_inputs: int) -> int:
+    """:func:`expand_against_off` on integer rows: variable by variable,
+    raise a literal when the raised row meets no OFF row (a meet with an
+    empty pair is no meet)."""
+    m01 = mask01(n_inputs)
+    for i in range(n_inputs):
+        pair = LITERAL_DC << (2 * i)
+        if inbits & pair == pair:
             continue
-        cand = c.with_literal(i, LITERAL_DC)
-        if not any(cand.intersects_input(o) for o in off.cubes):
-            c = cand
-    return c
+        cand = inbits | pair
+        for o in off_rows:
+            t = cand & o
+            if (t | t >> 1) & m01 == m01:
+                break
+        else:
+            inbits = cand
+    return inbits
 
 
 def _maximal_cubes(cubes: Sequence[Cube]) -> List[Cube]:
@@ -129,15 +142,14 @@ def transform_instance(
     n, n_out = instance.n_inputs, instance.n_outputs
     per_output: Dict[int, List[Cube]] = {j: [] for j in range(n_out)}
     if mode == "transitions":
+        off_rows = [
+            [c.inbits for c in off_j] for off_j in instance.off.split_outputs()
+        ]
         for rq in instance.required_cubes():
             if budget is not None:
                 budget.checkpoint("transform")
-            off_j = instance.off.restrict_to_output(rq.output)
-            per_output[rq.output].append(
-                expand_against_off(
-                    Cube(n, rq.cube.inbits, 1, 1), off_j
-                )
-            )
+            inbits = _expand_rows(rq.cube.inbits, off_rows[rq.output], n)
+            per_output[rq.output].append(Cube(n, inbits, 1, 1))
     else:
         deadline = None
         if budget is not None and budget.wall_s is not None:
