@@ -12,24 +12,39 @@ class CoverColumns:
 
     ``by_literal[i][code]`` holds the cubes whose literal ``i`` meets the
     literal ``code`` (0 = EMPTY meets nothing, 3 = DC meets every non-EMPTY
-    literal); ``by_output[j]`` the cubes of output ``j``.  A meeting test
-    against every cube then costs one AND per input variable.
+    literal); ``by_containing[i][code]`` the cubes whose literal ``i``
+    contains ``code`` (0 = EMPTY is in every literal, 3 = DC only in DC);
+    ``by_output[j]`` the cubes of output ``j``.  A meeting or containment
+    test against every cube then costs one AND per input variable.
     """
 
-    __slots__ = ("cubes", "by_literal", "by_output")
+    __slots__ = ("cubes", "by_literal", "by_containing", "by_output")
 
     def __init__(self, cubes: Sequence[Cube], n_inputs: int, n_outputs: int):
         self.cubes = cubes
         by_bit = _bit_columns([c.inbits for c in cubes], 2 * n_inputs)
-        self.by_literal = [
-            (0, zero, one, zero | one) for zero, one in zip(by_bit[::2], by_bit[1::2])
-        ]
+        every = (1 << len(cubes)) - 1
+        self.by_literal = []
+        self.by_containing = []
+        for zero, one in zip(by_bit[::2], by_bit[1::2]):
+            self.by_literal.append((0, zero, one, zero | one))
+            self.by_containing.append((every, zero, one, zero & one))
         self.by_output = _bit_columns([c.outbits for c in cubes], n_outputs)
 
     def meeting(self, inbits: int) -> int:
         """The cubes whose input part meets the input part ``inbits``."""
         found = (1 << len(self.cubes)) - 1
         for codes in self.by_literal:
+            if not found:
+                break
+            found &= codes[inbits & 3]
+            inbits >>= 2
+        return found
+
+    def containing(self, inbits: int) -> int:
+        """The cubes whose input part contains the input part ``inbits``."""
+        found = (1 << len(self.cubes)) - 1
+        for codes in self.by_containing:
             if not found:
                 break
             found &= codes[inbits & 3]

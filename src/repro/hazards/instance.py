@@ -97,10 +97,13 @@ class HazardFreeInstance:
         self.name = name
         self.n_inputs = on.n_inputs
         self.n_outputs = on.n_outputs
-        self._on_by_output = on.split_outputs()
-        self._off_by_output = off.split_outputs()
-        self._on_columns = on.columns()
-        self._off_columns = off.columns()
+        #: the ON and OFF covers transposed into bitsets, shared by the
+        #: transition table, the disjointness check and the verifier
+        self.on_columns = on.columns()
+        self.off_columns = off.columns()
+        # Single-output ON/OFF covers per output, split on first use.
+        self._on_by_output: Optional[List[Cover]] = None
+        self._off_by_output: Optional[List[Cover]] = None
         # The transition table: one TransitionEntry per distinct transition,
         # built on first use and shared by validation, kinds and derivation.
         self._table: Dict[Transition, TransitionEntry] = {}
@@ -115,17 +118,21 @@ class HazardFreeInstance:
 
     def on_for_output(self, j: int) -> Cover:
         """Single-output ON cover of output ``j``."""
+        if self._on_by_output is None:
+            self._on_by_output = self.on.split_outputs()
         return self._on_by_output[j]
 
     def off_for_output(self, j: int) -> Cover:
         """Single-output OFF cover of output ``j``."""
+        if self._off_by_output is None:
+            self._off_by_output = self.off.split_outputs()
         return self._off_by_output[j]
 
     def value(self, vec: Sequence[int], j: int) -> Optional[bool]:
         """Output ``j``'s value on an input vector (None = don't-care)."""
-        if self._on_by_output[j].evaluate(vec):
+        if self.on_for_output(j).evaluate(vec):
             return True
-        if self._off_by_output[j].evaluate(vec):
+        if self.off_for_output(j).evaluate(vec):
             return False
         return None
 
@@ -135,7 +142,7 @@ class HazardFreeInstance:
         if entry is None:
             if len(transition.start) != self.n_inputs:
                 raise InstanceError(f"transition {transition} has wrong width")
-            entry = TransitionEntry(transition, self._on_columns, self._off_columns)
+            entry = TransitionEntry(transition, self.on_columns, self.off_columns)
             self._table[transition] = entry
         return entry
 
@@ -173,7 +180,7 @@ class HazardFreeInstance:
     def _check_disjoint(self) -> None:
         """ON ∩ OFF = ∅ for every output, reporting the first intersecting
         pair (in cover order) of the lowest such output."""
-        on, off = self._on_columns, self._off_columns
+        on, off = self.on_columns, self.off_columns
         for j in range(self.n_outputs):
             off_j = off.by_output[j]
             rows = on.by_output[j] if off_j else 0
@@ -267,8 +274,8 @@ class HazardFreeInstance:
     def restrict_to_output(self, j: int) -> "HazardFreeInstance":
         """A single-output instance for output ``j`` (shared transitions)."""
         inst = HazardFreeInstance(
-            self._on_by_output[j],
-            self._off_by_output[j],
+            self.on_for_output(j),
+            self.off_for_output(j),
             self.transitions,
             name=f"{self.name}.out{j}",
             validate=False,

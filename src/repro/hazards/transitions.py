@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cubes.cube import Cube, full_input_mask, mask01, minterm_bits
 from repro.cubes.cover import Cover, CoverColumns
@@ -185,22 +185,35 @@ class TransitionEntry:
 
     def undefined_outputs(self, outputs: int) -> int:
         """The outputs among ``outputs`` for which some point of ``[A, B]``
-        lies in neither cover (a tautology of the raised rows per output)."""
+        lies in neither cover (a tautology of the raised rows per output).
+
+        Outputs often share their row set, so each distinct set runs the
+        tautology check once.
+        """
         full = full_input_mask(self.n_inputs)
-        rows = self.on_meet + self.off_meet
         whole = 0
-        for co, raised, _, _ in rows:
+        by_output: Dict[int, List[int]] = {}
+        for co, raised, _, _ in self.on_meet + self.off_meet:
             if raised == full:
                 whole |= co
+            co &= outputs
+            while co:
+                bit = co & -co
+                co ^= bit
+                by_output.setdefault(bit, []).append(raised)
         endpoints = (self.on_start | self.off_start) & (self.on_end | self.off_end)
         undefined = outputs & ~whole & ~endpoints
         pending = outputs & ~whole & endpoints
+        covered: Dict[Tuple[int, ...], bool] = {}
         while pending:
             bit = pending & -pending
             pending ^= bit
-            if not tautology_rows(
-                [raised for co, raised, _, _ in rows if co & bit], self.n_inputs
-            ):
+            rows = by_output.get(bit, [])
+            key = tuple(rows)
+            verdict = covered.get(key)
+            if verdict is None:
+                verdict = covered[key] = tautology_rows(rows, self.n_inputs)
+            if not verdict:
                 undefined |= bit
         return undefined
 

@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
-from repro.hazards.dhf import illegally_intersects
 from repro.hazards.instance import HazardFreeInstance
 
 
@@ -44,44 +43,59 @@ def verify_hazard_free_cover(
 ) -> List[HazardFreeViolation]:
     """All Theorem 2.11 violations of ``cover`` (empty list = hazard-free).
 
-    With ``collect_all`` false (default) the check stops at the first
-    violation of each condition per output, which is cheaper on large
+    With ``collect_all`` false (default) the check reports at most one
+    OFF-set violation per output and stops at the first uncovered required
+    cube and at the first illegal intersection, which is cheaper on large
     instances; the returned list is still empty exactly when the cover is a
-    valid hazard-free cover.
+    valid hazard-free cover.  Raises ``ValueError`` when the cover's shape
+    differs from the instance's.
+
+    Each condition is a mask over the cover's columns, with one bit per
+    cover cube; walking its set bits low to high visits the cubes in cover
+    order.
     """
-    violations: List[HazardFreeViolation] = []
-
-    # (a) OFF-set disjointness per output.
-    for j in range(instance.n_outputs):
-        off_j = instance.off_for_output(j)
-        for c in cover:
-            if not c.has_output(j):
-                continue
-            for o in off_j:
-                if c.intersects_input(o):
-                    violations.append(
-                        HazardFreeViolation(
-                            "off-intersection",
-                            j,
-                            c,
-                            o,
-                            f"cover cube {c.input_string()} meets OFF cube "
-                            f"{o.input_string()}",
-                        )
-                    )
-                    if not collect_all:
-                        break
-            else:
-                continue
-            if not collect_all:
-                break
-
-    # (b) required-cube containment.
-    for q in instance.required_cubes():
-        contained = any(
-            c.has_output(q.output) and c.contains_input(q.cube) for c in cover
+    if (cover.n_inputs, cover.n_outputs) != (instance.n_inputs, instance.n_outputs):
+        raise ValueError(
+            f"cover shape ({cover.n_inputs},{cover.n_outputs}) does not match "
+            f"instance shape ({instance.n_inputs},{instance.n_outputs})"
         )
-        if not contained:
+    violations: List[HazardFreeViolation] = []
+    cols = cover.columns()
+    cubes = cover.cubes
+
+    # (a) OFF-set disjointness per output: the OFF cubes of output j that
+    # each cover cube of output j meets.
+    off = instance.off_columns
+    for j in range(instance.n_outputs):
+        off_j = off.by_output[j]
+        rows = cols.by_output[j] if off_j else 0
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            c = cubes[low.bit_length() - 1]
+            hit = off.meeting(c.inbits) & off_j
+            while hit:
+                bit = hit & -hit
+                hit ^= bit
+                o = Cube(instance.n_inputs, off.cubes[bit.bit_length() - 1].inbits)
+                violations.append(
+                    HazardFreeViolation(
+                        "off-intersection",
+                        j,
+                        c,
+                        o,
+                        f"cover cube {c.input_string()} meets OFF cube "
+                        f"{o.input_string()}",
+                    )
+                )
+                if not collect_all:
+                    rows = 0
+                    break
+
+    # (b) required-cube containment: the cover cubes of the required
+    # cube's output that contain it.
+    for q in instance.required_cubes():
+        if not cols.containing(q.cube.inbits) & cols.by_output[q.output]:
             violations.append(
                 HazardFreeViolation(
                     "uncovered-required",
@@ -95,29 +109,31 @@ def verify_hazard_free_cover(
             if not collect_all:
                 break
 
-    # (c) no illegal intersections.
-    outer_done = False
+    # (c) no illegal intersections: the cover cubes of the privileged
+    # cube's output that meet it without containing its start point.
     for p in instance.privileged_cubes():
-        for c in cover:
-            if not c.has_output(p.output):
-                continue
-            if illegally_intersects(Cube(c.n_inputs, c.inbits, 1, 1), p):
-                violations.append(
-                    HazardFreeViolation(
-                        "illegal-intersection",
-                        p.output,
-                        c,
-                        p.cube,
-                        f"cover cube {c.input_string()} illegally intersects "
-                        f"privileged cube {p.cube.input_string()} "
-                        f"(start {p.start.input_string()})",
-                    )
+        hit = (
+            cols.meeting(p.cube.inbits)
+            & ~cols.containing(p.start.inbits)
+            & cols.by_output[p.output]
+        )
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            c = cubes[bit.bit_length() - 1]
+            violations.append(
+                HazardFreeViolation(
+                    "illegal-intersection",
+                    p.output,
+                    c,
+                    p.cube,
+                    f"cover cube {c.input_string()} illegally intersects "
+                    f"privileged cube {p.cube.input_string()} "
+                    f"(start {p.start.input_string()})",
                 )
-                if not collect_all:
-                    outer_done = True
-                    break
-        if outer_done:
-            break
+            )
+            if not collect_all:
+                return violations
     return violations
 
 

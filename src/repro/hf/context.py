@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cubes.cube import Cube
-from repro.cubes.cover import Cover
+from repro.cubes.cover import CoverColumns
 from repro.guard.budget import RunBudget
 from repro.hazards.instance import HazardFreeInstance, PrivilegedCube
 from repro.hf.coverage import CoverageIndex, SwarBlockMap
@@ -46,6 +46,19 @@ def _maximal_off_bits(bits: List[int]) -> List[int]:
         kept.append(o)
     kept_ranks.sort()
     return [bits[i] for i in kept_ranks]
+
+
+def _off_rows(off: CoverColumns, cubes: int, m01: int) -> List[int]:
+    """Input parts of the selected OFF cubes, in cover order, without the
+    cubes that have an EMPTY literal."""
+    rows: List[int] = []
+    while cubes:
+        low = cubes & -cubes
+        cubes ^= low
+        bits = off.cubes[low.bit_length() - 1].inbits
+        if not (~(bits | (bits >> 1)) & m01):
+            rows.append(bits)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -98,9 +111,6 @@ class HFContext:
         self.priv_by_output: List[List[PrivilegedCube]] = [
             instance.privileged_for_output(j) for j in range(self.n_outputs)
         ]
-        self.off_by_output: List[Cover] = [
-            instance.off_for_output(j) for j in range(self.n_outputs)
-        ]
         from repro.cubes.cube import mask01
 
         self._mask01 = mask01(self.n_inputs)
@@ -110,22 +120,18 @@ class HFContext:
             for privs in self.priv_by_output
         ]
         m01 = self._mask01
-        # Per-output OFF bits, degenerate cubes dropped, then reduced to
-        # the maximal cubes: every consumer only ever asks "does r
-        # intersect the OFF union", and a cube contained in another
-        # (o1 & o2 == o1) cannot flip that test on its own — dropping it
-        # leaves the union (hence every verdict) unchanged while
-        # shrinking every SWAR concatenation and scalar scan.  10-36%
-        # of OFF cubes are redundant on the benchmark suite.
+        # Per-output OFF bits (OFF cover order, read off the instance's OFF
+        # columns), degenerate cubes dropped, then reduced to the maximal
+        # cubes: every consumer only ever asks "does r intersect the OFF
+        # union", and a cube contained in another (o1 & o2 == o1) cannot
+        # flip that test on its own — dropping it leaves the union (hence
+        # every verdict) unchanged while shrinking every SWAR
+        # concatenation and scalar scan.  10-36% of OFF cubes are
+        # redundant on the benchmark suite.
+        off = instance.off_columns
         self._off_bits_by_output = [
-            _maximal_off_bits(
-                [
-                    o.inbits
-                    for o in off
-                    if not (~(o.inbits | (o.inbits >> 1)) & m01)
-                ]
-            )
-            for off in self.off_by_output
+            _maximal_off_bits(_off_rows(off, off.by_output[j], m01))
+            for j in range(self.n_outputs)
         ]
         self._priv_bits_cache: Dict[int, List[Tuple[int, int]]] = {}
         self._off_bits_cache: Dict[int, List[int]] = {}

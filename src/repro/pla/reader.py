@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
@@ -53,6 +53,18 @@ class PlaFile:
         return HazardFreeInstance(
             self.on, self.off, self.transitions, name=self.name, validate=validate
         )
+
+
+#: input literal -> its two-bit code, high bit first (``0`` ZERO, ``1`` ONE,
+#: ``-``/``2`` DC, ``~`` EMPTY)
+_IN_BITS = str.maketrans({"0": "01", "1": "10", "-": "11", "2": "11", "~": "00"})
+#: output character -> its bit in the ON, OFF and don't-care planes
+_ON_BITS = str.maketrans("014-~2", "011000")
+_OFF_BITS = str.maketrans("014-~2", "100000")
+_DC_BITS = str.maketrans("014-~2", "000111")
+#: deletion tables: what survives them is a bad character
+_IN_VALID = str.maketrans("", "", "01-2~")
+_OUT_VALID = str.maketrans("", "", "014-~2")
 
 
 def read_pla(path: Union[str, Path]) -> PlaFile:
@@ -136,8 +148,18 @@ def parse_pla(text: str, name: str = "pla") -> PlaFile:
     on = Cover(n_inputs, (), n_outputs)
     off = Cover(n_inputs, (), n_outputs)
     dc = Cover(n_inputs, (), n_outputs)
-    off_specified = "r" in pla_type
-    dc_specified = "d" in pla_type
+    # The planes a row's output part feeds: ``0`` is OFF only under an
+    # ``r`` type (else "not in the ON set"), ``-~2`` don't-care only under
+    # a ``d`` type.
+    planes = [(on.cubes, _ON_BITS)]
+    if "r" in pla_type:
+        planes.append((off.cubes, _OFF_BITS))
+    if "d" in pla_type:
+        planes.append((dc.cubes, _DC_BITS))
+    # Rows repeat their input and output parts, so each distinct part is
+    # checked and decoded once.
+    inbits_of: Dict[str, int] = {}
+    outbits_of: Dict[str, List[int]] = {}
     for lineno, in_part, out_part in rows:
         if len(in_part) != n_inputs:
             raise PlaError(
@@ -147,31 +169,27 @@ def parse_pla(text: str, name: str = "pla") -> PlaFile:
             raise PlaError(
                 f"line {lineno}: output part {out_part!r} width != .o {n_outputs}"
             )
-        try:
-            base = Cube.from_string(in_part, "0" * n_outputs)
-        except ValueError as exc:
-            raise PlaError(f"line {lineno}: {exc}") from None
-        on_bits = 0
-        off_bits = 0
-        dc_bits = 0
-        for j, ch in enumerate(out_part):
-            if ch in "14":
-                on_bits |= 1 << j
-            elif ch == "0":
-                if off_specified:
-                    off_bits |= 1 << j
-                # otherwise: "not in the ON set", carries no information
-            elif ch in "-~2":
-                if dc_specified:
-                    dc_bits |= 1 << j
-            else:
-                raise PlaError(f"line {lineno}: bad output character {ch!r}")
-        if on_bits:
-            on.append(base.with_outputs(on_bits))
-        if off_bits:
-            off.append(base.with_outputs(off_bits))
-        if dc_bits:
-            dc.append(base.with_outputs(dc_bits))
+        inbits = inbits_of.get(in_part)
+        if inbits is None:
+            bad = in_part.translate(_IN_VALID)
+            if bad:
+                raise PlaError(
+                    f"line {lineno}: bad literal character {bad[0]!r} in {in_part!r}"
+                )
+            # Reversed, so variable 0 lands on the low pair of bits.
+            inbits = inbits_of[in_part] = int(in_part[::-1].translate(_IN_BITS), 2)
+        outbits = outbits_of.get(out_part)
+        if outbits is None:
+            bad = out_part.translate(_OUT_VALID)
+            if bad:
+                raise PlaError(f"line {lineno}: bad output character {bad[0]!r}")
+            reverse = out_part[::-1]
+            outbits = outbits_of[out_part] = [
+                int(reverse.translate(table), 2) for _, table in planes
+            ]
+        for (cubes, _), bits in zip(planes, outbits):
+            if bits:
+                cubes.append(Cube(n_inputs, inbits, bits, n_outputs))
     return PlaFile(
         n_inputs=n_inputs,
         n_outputs=n_outputs,

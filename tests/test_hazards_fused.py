@@ -10,6 +10,7 @@ seeded sample of every corpus stratum, Hypothesis instances and
 hand-built defects.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -215,3 +216,65 @@ def test_kind_of_a_transition_outside_the_instance():
     assert instance.kind(extra, 0) is ref.kind(instance, extra, 0)
     assert extra not in instance.transitions
 
+
+
+# ----------------------------------------------------------------------
+# Shared row sets: one tautology verdict per distinct set
+# ----------------------------------------------------------------------
+
+
+def _shared_instance(rng):
+    """Outputs that copy one of a few drawn functions, so several outputs
+    share every row set of a transition; holes make some sets undefined."""
+    n = rng.randint(2, 4)
+    n_out = rng.randint(2, 5)
+    bases = [
+        [rng.choice((0, 1, 1, 0, None)) for _ in range(1 << n)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    copies = [rng.randrange(len(bases)) for _ in range(n_out)]
+    on, off = Cover(n, (), n_out), Cover(n, (), n_out)
+    for index in range(1 << n):
+        for cover, v in ((on, 1), (off, 0)):
+            outbits = sum(1 << j for j, b in enumerate(copies) if bases[b][index] == v)
+            if outbits:
+                cover.append(Cube.from_index(n, index, outbits, n_out))
+    transitions = []
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(rng.randint(0, 1) for _ in range(n))
+        b = tuple(rng.randint(0, 1) for _ in range(n))
+        transitions.append(Transition(a, b))
+    return HazardFreeInstance(on, off, transitions, validate=False)
+
+
+def test_undefined_outputs_shared_row_sets():
+    # Outputs 0 and 1 share the rows {0-, 1-}, defined on 00->11; outputs
+    # 2 and 3 share {00, 11}, which leaves 01 and 10 undefined.
+    on = Cover.from_strings(["0- 1100", "1- 1100", "00 0011", "11 0011"])
+    instance = HazardFreeInstance(
+        on, Cover(2, (), 4), [Transition((0, 0), (1, 1))], validate=False
+    )
+    expected = ("InstanceError", "function not fully defined on 00->11 for output 2")
+    assert outcome(instance.validate) == expected
+    assert outcome(lambda: ref.validate(instance)) == expected
+    assert instance._entry(instance.transitions[0]).undefined_outputs(15) == 0b1100
+
+    # Seeded instances whose outputs copy a few functions: every verdict
+    # and message matches the reference, and the memoized verdict for all
+    # outputs at once equals the verdicts taken one output at a time.
+    rng = random.Random(17)
+    undefined_messages = 0
+    for _ in range(300):
+        instance = _shared_instance(rng)
+        result = outcome(instance.validate)
+        assert result == outcome(lambda: ref.validate(instance))
+        if result[0] == "InstanceError" and "not fully defined" in result[1]:
+            undefined_messages += 1
+        everything = (1 << instance.n_outputs) - 1
+        for t in instance.transitions:
+            entry = instance._entry(t)
+            alone = 0
+            for j in range(instance.n_outputs):
+                alone |= entry.undefined_outputs(1 << j)
+            assert entry.undefined_outputs(everything) == alone
+    assert undefined_messages >= 20
