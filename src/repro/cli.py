@@ -22,17 +22,11 @@ Examples::
     espresso-hf transform circuit.net -o f.net  # hazard-free u(f) rewrite
                                               # (see docs/DETECTION.md)
 
-Exit codes (see ``docs/FAILURES.md``):
-
-====  =========================================================
-0     success (including ``--check-existence`` with a positive answer)
-1     usage error or unexpected internal failure
-2     no hazard-free cover exists (Theorem 4.1)
-3     verification failed (Theorem 2.11 / checked-mode invariant / glitch)
-4     malformed input (bad PLA text or ill-formed instance)
-5     timeout or resource budget exhausted
-6     worker process crashed (died without reporting a result)
-====  =========================================================
+Exit codes are the ``exit_code`` column of the outcome table,
+:data:`repro.guard.errors.OUTCOMES` (see ``docs/FAILURES.md``): 0 success,
+1 usage error or internal failure, 2 no hazard-free cover (Theorem 4.1),
+3 verification failed, 4 malformed input, 5 timeout or budget exhausted,
+6 worker process died without reporting.
 """
 
 from __future__ import annotations
@@ -42,23 +36,18 @@ import sys
 from typing import List, Optional
 
 from repro.exact import exact_hazard_free_minimize, ExactBudget, ExactFailure
-from repro.guard.errors import (
-    InvariantViolation,
-    MalformedInstance,
-    NoSolutionError,
-)
+from repro.guard.errors import OUTCOMES, HFError, MalformedInstance, outcome_of
 from repro.hazards.existence import existence_report
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import EspressoHFOptions
 from repro.pla import format_cover, parse_pla, read_pla, write_pla
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_NO_SOLUTION = 2
-EXIT_VERIFY_FAILED = 3
-EXIT_MALFORMED = 4
-EXIT_TIMEOUT = 5
-EXIT_WORKER_CRASHED = 6
+EXIT_OK = OUTCOMES["ok"].exit_code
+EXIT_USAGE = OUTCOMES["usage"].exit_code
+EXIT_NO_SOLUTION = OUTCOMES["no_solution"].exit_code
+EXIT_VERIFY_FAILED = OUTCOMES["invariant_violation"].exit_code
+EXIT_MALFORMED = OUTCOMES["malformed"].exit_code
+EXIT_TIMEOUT = OUTCOMES["timeout"].exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,6 +189,36 @@ def _heuristic_options(args) -> EspressoHFOptions:
     )
 
 
+def _report_failure(outcome, error: str, bundle_path=None) -> int:
+    """Print a run's failure to stderr; returns its exit code."""
+    if outcome.name == "no_solution":
+        print(f"no hazard-free cover exists: {error}", file=sys.stderr)
+    elif outcome.name == "crash":
+        print(f"error: worker failed:\n{error}", file=sys.stderr)
+    else:
+        print(f"error: {error}", file=sys.stderr)
+    if bundle_path:
+        print(f"repro bundle: {bundle_path}", file=sys.stderr)
+    return outcome.exit_code
+
+
+def _report_heuristic(args, result) -> None:
+    """Warn on a cover that is not ``ok``; print the ``--stats`` lines."""
+    if result.status != "ok":
+        print(
+            f"warning: run finished with status={result.status} "
+            "(the cover is hazard-free but may not be locally "
+            "minimal); see docs/FAILURES.md",
+            file=sys.stderr,
+        )
+    if args.stats:
+        print(f"# {result.summary()}", file=sys.stderr)
+        for phase, seconds in result.phase_seconds.items():
+            print(f"# {phase}: {seconds:.2f}s", file=sys.stderr)
+        for line in result.counters.summary_lines():
+            print(f"# {line}", file=sys.stderr)
+
+
 def _run_isolated(args, instance, pla_text: str):
     """Minimize in a subprocess under ``--timeout``; returns (cover, row).
 
@@ -222,28 +241,11 @@ def _run_isolated(args, instance, pla_text: str):
     if tracer is not None:
         tracer.adopt(row.get("spans") or [], tid=1)
     status = row["status"]
-    if status == "timeout":
-        print(f"error: {row['error']}", file=sys.stderr)
-        if row.get("bundle_path"):
-            print(f"repro bundle: {row['bundle_path']}", file=sys.stderr)
-        raise SystemExit(EXIT_TIMEOUT)
-    if status == "no_solution":
-        print(f"no hazard-free cover exists: {row['error']}", file=sys.stderr)
-        raise SystemExit(EXIT_NO_SOLUTION)
-    if status == "invariant_violation":
-        print(f"error: {row['error']}", file=sys.stderr)
-        if row.get("bundle_path"):
-            print(f"repro bundle: {row['bundle_path']}", file=sys.stderr)
-        raise SystemExit(EXIT_VERIFY_FAILED)
-    if status in ("malformed",):
-        print(f"error: {row['error']}", file=sys.stderr)
-        raise SystemExit(EXIT_MALFORMED)
-    if status == "worker_crashed":
-        print(f"error: {row['error']}", file=sys.stderr)
-        raise SystemExit(EXIT_WORKER_CRASHED)
-    if status == "crash":
-        print(f"error: worker failed:\n{row['error']}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    outcome = OUTCOMES.get(status, OUTCOMES["crash"])
+    if not outcome.cover:
+        raise SystemExit(
+            _report_failure(outcome, row["error"], row.get("bundle_path"))
+        )
     if status != "ok":
         # degraded / budget_exceeded: the cover is still valid — warn only.
         print(f"warning: run finished with status={status}", file=sys.stderr)
@@ -364,19 +366,7 @@ def _run_command(args, tracer) -> int:
 
             result = espresso_hf_per_output(instance, _heuristic_options(args))
             cover = result.cover
-            if result.status != "ok":
-                print(
-                    f"warning: run finished with status={result.status} "
-                    "(the cover is hazard-free but may not be locally "
-                    "minimal); see docs/FAILURES.md",
-                    file=sys.stderr,
-                )
-            if args.stats:
-                print(f"# {result.summary()}", file=sys.stderr)
-                for phase, seconds in result.phase_seconds.items():
-                    print(f"# {phase}: {seconds:.2f}s", file=sys.stderr)
-                for line in result.counters.summary_lines():
-                    print(f"# {line}", file=sys.stderr)
+            _report_heuristic(args, result)
         else:
             from repro.guard.runner import guarded_espresso_hf
 
@@ -412,29 +402,13 @@ def _run_command(args, tracer) -> int:
                         file=sys.stderr,
                     )
             cover = result.cover
-            if result.status != "ok":
-                print(
-                    f"warning: run finished with status={result.status} "
-                    "(the cover is hazard-free but may not be locally "
-                    "minimal); see docs/FAILURES.md",
-                    file=sys.stderr,
-                )
-            if args.stats:
-                print(f"# {result.summary()}", file=sys.stderr)
-                for phase, seconds in result.phase_seconds.items():
-                    print(f"# {phase}: {seconds:.2f}s", file=sys.stderr)
-                for line in result.counters.summary_lines():
-                    print(f"# {line}", file=sys.stderr)
+            _report_heuristic(args, result)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except NoSolutionError as exc:
-        print(f"no hazard-free cover exists: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.bundle_path:
-            print(f"repro bundle: {exc.bundle_path}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    except HFError as exc:
+        return _report_failure(
+            outcome_of(exc), str(exc), getattr(exc, "bundle_path", None)
+        )
     except ExactFailure as exc:
         print(f"exact flow failed (budget): {exc}", file=sys.stderr)
         return EXIT_TIMEOUT

@@ -43,6 +43,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
+from repro.guard.errors import OUTCOMES
+
 #: verdicts that indicate a real, unexplained disagreement — the corpus
 #: CI gate fails if any of these survive a run
 UNEXPLAINED_VERDICTS = (
@@ -119,18 +121,20 @@ def _classify(
     exact_cubes: Optional[int],
     solvable_expected: Optional[bool],
 ) -> str:
-    if hf_status in ("crash", "invariant_violation"):
+    if hf_status in ("crash", "invariant_violation", "malformed"):
         return "hf_error"
     # a cover that fails Theorem 2.11 is unexplained no matter what status
     # the heuristic attached to it
     if hf_verified is False:
         return "hf_verify_failed"
-    if hf_status == "budget_exceeded":
+    # the budget ran out after the canonical cover existed, or before it
+    # (an escaped BudgetExceeded is a ``timeout``)
+    if hf_status in ("budget_exceeded", "timeout"):
         return "hf_budget"
     if exact_status in ("exact_failure", "crash"):
         # budget/stage explosion: the paper's "could not be solved" column
         return "exact_unavailable"
-    hf_solved = hf_status in ("ok", "degraded")
+    hf_solved = OUTCOMES[hf_status].cover
     exact_solved = exact_status == "ok"
     if hf_solved and exact_solved:
         if solvable_expected is False:
@@ -158,13 +162,9 @@ def run_differential_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         options_from_dict,
         write_bundle,
     )
-    from repro.guard.errors import (
-        BudgetExceeded,
-        InvariantViolation,
-        MalformedInstance,
-        NoSolutionError,
-    )
+    from repro.guard.errors import MalformedInstance
     from repro.guard.inject import apply_option_faults, apply_preflight_faults
+    from repro.guard.runner import failure_fields
     from repro.hazards.verify import verify_hazard_free_cover
     from repro.hf.espresso_hf import espresso_hf
     from repro.obs import MetricsRegistry, TIME_BUCKETS_S
@@ -211,16 +211,11 @@ def run_differential_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         hf_status = hf_result.status  # "ok" or "degraded"
         hf_cubes = hf_result.num_cubes
         hf_cover = hf_result.cover
-    except NoSolutionError:
-        hf_status = "no_solution"
-    except BudgetExceeded:
-        hf_status = "budget_exceeded"
-    except InvariantViolation as exc:
-        hf_status = "invariant_violation"
-        row["error"] = str(exc)
     except Exception as exc:  # noqa: BLE001 - isolation boundary
-        hf_status = "crash"
-        row["error"] = describe_exception(exc)
+        failure = failure_fields(exc)
+        hf_status = failure["status"]
+        if not OUTCOMES[hf_status].ok:
+            row["error"] = failure["error"]
     hf_time = time.perf_counter() - t0
     if hf_cover is not None:
         # Theorem 2.11 re-verification: non-negotiable for scoreboard rows

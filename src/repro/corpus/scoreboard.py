@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.guard.errors import status_rank
 from repro.obs import histogram_quantile, merge_snapshots
 
 from repro.corpus.differential import UNEXPLAINED_VERDICTS
-
-#: executor-level statuses that count toward the timeout/crash columns
-_EXECUTOR_FAILURES = ("timeout", "worker_crashed")
 
 
 def merge_row_metrics(
@@ -79,8 +77,11 @@ def _stratum_block(
     for name, metric in snapshot.items():
         if name.startswith(verdict_prefix) and metric["kind"] == "counter":
             verdicts[name[len(verdict_prefix):]] = int(metric["value"])
+    # the runs that never finished (timeout, worker_crashed) rank last
     executor_failures = sum(
-        1 for r in rows if r.get("status") in _EXECUTOR_FAILURES
+        1
+        for r in rows
+        if status_rank(r.get("status", "ok")) >= status_rank("timeout")
     )
     timeouts = sum(1 for r in rows if r.get("status") == "timeout")
     total = len(rows)

@@ -14,10 +14,11 @@ specification whose ON cover realizes the network under test;
 ``.net`` text (``.inputs``/gate lines, see ``docs/FORMAT.md``) is parsed
 as a netlist with optional ``.trans`` transitions.
 
-Exit codes follow the shared taxonomy (``docs/FAILURES.md``): 0 clean /
-success, 3 hazard or functional mismatch found (detect) or verification
-failed (transform), 4 malformed input, 5 budget exhausted before a
-definitive answer.
+Exit codes come from the outcome table (:data:`repro.guard.errors.OUTCOMES`,
+``docs/FAILURES.md``): 0 clean / success, 3 (``invariant_violation``) hazard
+or functional mismatch found (detect) or verification failed (transform),
+4 malformed input, 5 (``timeout``) budget exhausted before a definitive
+answer.
 """
 
 from __future__ import annotations
@@ -35,15 +36,18 @@ from repro.detect.detector import (
 from repro.detect.netlist import Netlist, NetlistError
 from repro.detect.nlformat import format_netlist, parse_netlist
 from repro.guard.budget import RunBudget
-from repro.guard.errors import BudgetExceeded, MalformedInstance
+from repro.guard.errors import (
+    OUTCOMES,
+    BudgetExceeded,
+    MalformedInstance,
+    outcome_of,
+)
 from repro.hazards.transitions import Transition
 from repro.obs.metrics import MetricsRegistry
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_VERIFY_FAILED = 3
-EXIT_MALFORMED = 4
-EXIT_BUDGET = 5
+
+def _exit(name: str) -> int:
+    return OUTCOMES[name].exit_code
 
 
 def _sniff_pla(text: str) -> bool:
@@ -153,7 +157,7 @@ def detect_main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        return _exit("ok" if exc.code in (0, None) else "usage")
 
     try:
         netlist, on, off, transitions = _load(
@@ -174,12 +178,9 @@ def detect_main(argv: Optional[List[str]] = None) -> int:
             registry=registry,
         )
         report = detect_netlist(netlist, on, off, transitions, options)
-    except MalformedInstance as exc:
+    except (MalformedInstance, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return outcome_of(exc).exit_code
 
     _print_report(report, args.quiet)
     if args.json:
@@ -189,10 +190,10 @@ def detect_main(argv: Optional[List[str]] = None) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if not report.hazard_free:
-        return EXIT_VERIFY_FAILED
+        return _exit("invariant_violation")
     if report.budget_exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
+        return _exit("timeout")
+    return _exit("ok")
 
 
 def transform_main(argv: Optional[List[str]] = None) -> int:
@@ -237,7 +238,7 @@ def transform_main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        return _exit("ok" if exc.code in (0, None) else "usage")
 
     from repro.hazards.instance import HazardFreeInstance
     from repro.transform.uf import transform_instance
@@ -262,12 +263,9 @@ def transform_main(argv: Optional[List[str]] = None) -> int:
             validate=(mode == "transitions"),
         )
         result = transform_instance(instance, mode=mode, budget=budget)
-    except MalformedInstance as exc:
+    except (MalformedInstance, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return outcome_of(exc).exit_code
 
     if not args.quiet:
         print(
@@ -283,7 +281,7 @@ def transform_main(argv: Optional[List[str]] = None) -> int:
             )
             if not report.hazard_free:
                 _print_report(report, quiet=True)
-                return EXIT_VERIFY_FAILED
+                return _exit("invariant_violation")
             if not args.quiet:
                 print(
                     f"verified hazard-free over {len(report.verdicts)} "
@@ -304,4 +302,4 @@ def transform_main(argv: Optional[List[str]] = None) -> int:
 
         with open(args.pla_out, "w", encoding="utf-8") as fh:
             fh.write(format_cover(result.cover, name=netlist.name))
-    return EXIT_OK
+    return _exit("ok")

@@ -1,52 +1,40 @@
-"""Structured error taxonomy for the guarded execution runtime.
+"""Structured error taxonomy and the one table of request outcomes.
 
 Every failure the minimizer stack can produce maps onto one subclass of
 :class:`HFError`, so callers (the CLI, the batch runner, service frontends)
-can branch on *kind* of failure instead of string-matching messages:
+can branch on *kind* of failure instead of string-matching messages.  The
+classes double-inherit from the built-in exceptions the pre-guard code
+raised (``RuntimeError`` / ``ValueError`` / ``AssertionError``), so
+existing ``except`` clauses keep working.
 
-===========================  ==================================================
-class                        meaning
-===========================  ==================================================
-:class:`NoSolutionError`     the instance admits no hazard-free cover
-                             (Theorem 4.1) — a property of the input, not a
-                             fault
-:class:`BudgetExceeded`      a :class:`~repro.guard.budget.RunBudget` ran out
-                             before the canonical cover existed (once it does,
-                             budget exhaustion degrades gracefully instead of
-                             raising)
-:class:`InvariantViolation`  checked mode caught a cover that breaks a
-                             Theorem 2.11 condition at a phase boundary — an
-                             implementation bug, never user error
-:class:`MalformedInstance`   the input itself is ill-formed (bad PLA text,
-                             inconsistent ON/OFF sets, function hazards)
-:class:`WorkerCrashed`       an isolated worker process died without
-                             reporting a result (signal, OOM kill, hard
-                             interpreter crash) — the *worker* failed, not
-                             the input, so supervisors may retry
-===========================  ==================================================
+:data:`OUTCOMES` defines each request outcome once: its worst-of rank, CLI
+exit code, wire status, cover/``ok``/cacheable flags, ``serve`` counter
+and exception class.  The CLI, the isolated runner's rows, the ``serve``
+protocol and cache, the per-output merge, the regression gate and the
+corpus differential all derive from it, and :func:`outcome_of` is the one
+exception -> outcome mapping.
 
-The classes double-inherit from the built-in exceptions the pre-guard code
-raised (``RuntimeError`` / ``ValueError``), so existing ``except`` clauses
-keep working.  This module must stay import-light: it is imported by
-``repro.hf`` and ``repro.pla`` and must never import them back.
+This module must stay import-light: it is imported by ``repro.hf`` and
+``repro.pla`` and must never import them back.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 
 class HFError(Exception):
     """Base class of every structured Espresso-HF failure."""
 
-    #: CLI exit code associated with this failure kind (see repro.cli)
-    exit_code: int = 1
+    @property
+    def exit_code(self) -> int:
+        """CLI exit code of this failure kind (its :data:`OUTCOMES` row)."""
+        return outcome_of(self).exit_code
 
 
 class NoSolutionError(HFError, RuntimeError):
-    """Raised when the instance admits no hazard-free cover (Theorem 4.1)."""
-
-    exit_code = 2
+    """The instance admits no hazard-free cover (Theorem 4.1) — a property
+    of the input, not a fault."""
 
 
 class BudgetExceeded(HFError, RuntimeError):
@@ -58,8 +46,6 @@ class BudgetExceeded(HFError, RuntimeError):
     ``status`` field, not the exception.
     """
 
-    exit_code = 5
-
     def __init__(self, reason: str, phase: str = ""):
         super().__init__(f"{reason}" + (f" (during {phase})" if phase else ""))
         self.reason = reason
@@ -67,14 +53,13 @@ class BudgetExceeded(HFError, RuntimeError):
 
 
 class InvariantViolation(HFError, AssertionError):
-    """Checked mode caught a Theorem 2.11 violation at a phase boundary.
+    """Checked mode caught a Theorem 2.11 violation at a phase boundary —
+    an implementation bug, never user error.
 
     Carries the phase name, the individual violation descriptions, and —
     once the guarded wrapper has serialized one — the path of the repro
     bundle that replays the failure.
     """
-
-    exit_code = 3
 
     def __init__(
         self,
@@ -91,9 +76,8 @@ class InvariantViolation(HFError, AssertionError):
 
 
 class MalformedInstance(HFError, ValueError):
-    """The input instance or file is ill-formed (user error, exit code 4)."""
-
-    exit_code = 4
+    """The input is ill-formed: bad PLA text, inconsistent ON/OFF sets,
+    function hazards (user error)."""
 
 
 class WorkerCrashed(HFError, RuntimeError):
@@ -107,8 +91,6 @@ class WorkerCrashed(HFError, RuntimeError):
     worker — which is exactly what :mod:`repro.serve` does, with bounded
     backoff and a poison-job quarantine for inputs that kill repeatedly.
     """
-
-    exit_code = 6
 
     def __init__(self, message: str, exitcode: Optional[int] = None):
         super().__init__(message)
@@ -126,3 +108,90 @@ def signal_name(exitcode: Optional[int]) -> Optional[str]:
         return _signal.Signals(-exitcode).name
     except (ValueError, ImportError):  # pragma: no cover - exotic signal
         return f"signal {-exitcode}"
+
+
+class Outcome(NamedTuple):
+    """One request outcome, as every surface reports it.
+
+    ``name`` is the row status; ``rank`` orders the outcomes a run can end
+    in, best first (``None`` for the service-side refusals no run
+    produces); ``exit_code`` is the CLI's (``None`` where no CLI path ends
+    this way); ``wire`` is the ``serve`` response status; ``cover`` means
+    a verified hazard-free cover is attached; ``ok`` is the response's
+    ``ok`` flag (the request got an answer); ``cacheable`` marks a property
+    of the instance rather than of one run; ``counter`` is the ``serve``
+    counter bumped when a worker ends this way; ``exc`` is the exception
+    class :func:`outcome_of` maps here.
+    """
+
+    name: str
+    rank: Optional[int]
+    exit_code: Optional[int]
+    wire: str
+    cover: bool
+    ok: bool
+    cacheable: bool
+    counter: Optional[str]
+    exc: Optional[type]
+
+
+#: every request outcome, best first.  ``crash`` (an exception the worker
+#: caught) answers on the wire as ``error``; ``worker_crashed`` (the
+#: worker died without reporting) is the one retry-safe failure and ranks
+#: worst.  An escaped :class:`BudgetExceeded` ends a run like its wall
+#: clock does: ``timeout``.  ``usage`` is a bad CLI invocation or request
+#: line.  Detector verdicts are per transition, not per request, and live
+#: in :mod:`repro.detect`.
+OUTCOMES: Dict[str, Outcome] = {
+    o.name: o
+    for o in (
+        # name, rank, exit, wire, cover, ok, cacheable, counter, exception
+        Outcome("ok", 0, 0, "ok", True, True, True,
+                "serve.completed_ok", None),
+        Outcome("degraded", 1, 0, "degraded", True, True, False,
+                "serve.completed_degraded", None),
+        Outcome("budget_exceeded", 2, 0, "budget_exceeded", True, True, False,
+                "serve.completed_degraded", None),
+        Outcome("no_solution", 3, 2, "no_solution", False, True, True,
+                "serve.no_solution", NoSolutionError),
+        Outcome("invariant_violation", 4, 3, "invariant_violation", False,
+                False, False, "serve.invariant_violations", InvariantViolation),
+        Outcome("malformed", 5, 4, "malformed", False, False, False,
+                "serve.malformed", MalformedInstance),
+        Outcome("crash", 6, 1, "error", False, False, False,
+                "serve.worker_errors", None),
+        Outcome("timeout", 7, 5, "timeout", False, False, False,
+                "serve.timeouts", BudgetExceeded),
+        Outcome("worker_crashed", 8, 6, "worker_crashed", False, False, False,
+                "serve.worker_crashes", WorkerCrashed),
+        Outcome("quarantined", None, None, "quarantined", False, False, False,
+                None, None),
+        Outcome("shed", None, None, "shed", False, False, False, None, None),
+        Outcome("shutting_down", None, None, "shutting_down", False, False,
+                False, None, None),
+        Outcome("usage", None, 1, "protocol_error", False, False, False,
+                None, None),
+    )
+}
+
+#: wire status -> outcome
+BY_WIRE: Dict[str, Outcome] = {o.wire: o for o in OUTCOMES.values()}
+
+_WORST = max(o.rank for o in OUTCOMES.values() if o.rank is not None)
+
+
+def outcome_of(exc: BaseException) -> Outcome:
+    """The outcome of a run that raised ``exc``: ``crash`` unless a row's
+    exception class matches."""
+    for outcome in OUTCOMES.values():
+        if outcome.exc is not None and isinstance(exc, outcome.exc):
+            return outcome
+    return OUTCOMES["crash"]
+
+
+def status_rank(status: str) -> int:
+    """Worst-of rank of a row status; an unknown status ranks worst."""
+    outcome = OUTCOMES.get(status)
+    if outcome is None or outcome.rank is None:
+        return _WORST
+    return outcome.rank

@@ -44,31 +44,19 @@ from repro.guard.bundle import (
     write_bundle,
 )
 from repro.guard.errors import (
+    OUTCOMES,
     BudgetExceeded,
     InvariantViolation,
     MalformedInstance,
     NoSolutionError,
+    outcome_of,
     signal_name,
 )
 from repro.guard.inject import apply_option_faults, apply_preflight_faults
 from repro.guard.shrink import shrink_instance
 
-#: statuses a batch row can carry (superset of HFResult.status).
-#: ``crash`` is an in-process exception the worker caught and reported;
-#: ``worker_crashed`` is the worker process itself dying without reporting
-#: (signal / OOM kill / hard interpreter crash) — the distinction matters
-#: because only the latter is retry-safe (see :class:`WorkerCrashed`).
-ROW_STATUSES = (
-    "ok",
-    "degraded",
-    "budget_exceeded",
-    "no_solution",
-    "invariant_violation",
-    "malformed",
-    "crash",
-    "worker_crashed",
-    "timeout",
-)
+#: statuses a batch row can carry: the ranked rows of the outcome table
+ROW_STATUSES = tuple(o.name for o in OUTCOMES.values() if o.rank is not None)
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +315,27 @@ def _build_instance(payload: Dict[str, Any]):
     ).to_instance(validate=validate)
 
 
+def failure_fields(exc: BaseException) -> Dict[str, Any]:
+    """Row ``status``, ``error`` and ``bundle_path`` of a run that raised.
+
+    The status is the exception's outcome
+    (:func:`~repro.guard.errors.outcome_of`); a malformed instance names
+    its class, an unexpected exception (a ``crash``) carries its traceback.
+    """
+    outcome = outcome_of(exc)
+    if outcome.exc is None:
+        error = describe_exception(exc)
+    elif outcome.exc is MalformedInstance:
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        error = str(exc)
+    return {
+        "status": outcome.name,
+        "error": error,
+        "bundle_path": getattr(exc, "bundle_path", None),
+    }
+
+
 def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one work item in-process; always returns a structured row.
 
@@ -410,24 +419,8 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                     best_spans = [
                         s.as_dict() for s in tracer.finished_spans()
                     ]
-    except NoSolutionError as exc:
-        row["status"] = "no_solution"
-        row["error"] = str(exc)
-        return row
-    except MalformedInstance as exc:
-        # An instance defect only detectable mid-run (or an injected
-        # malformed fault) classifies as user error, not a crash.
-        row["status"] = "malformed"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    except InvariantViolation as exc:
-        row["status"] = "invariant_violation"
-        row["error"] = str(exc)
-        row["bundle_path"] = exc.bundle_path
-        return row
     except Exception as exc:  # noqa: BLE001 - isolation boundary
-        row["status"] = "crash"
-        row["error"] = describe_exception(exc)
+        row.update(failure_fields(exc))
         return row
     row.update(
         {
@@ -488,7 +481,8 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                     bundle_dir,
                     trace=best.trace,
                 )
-    if payload.get("return_cover"):
+    if payload.get("return_cover") and OUTCOMES[row["status"]].cover:
+        # a cover that failed verification is never emitted
         from repro.pla.writer import format_cover
 
         row["cover_pla"] = format_cover(

@@ -62,9 +62,10 @@ from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
 from repro.guard.budget import RunBudget
 from repro.guard.errors import (
+    OUTCOMES,
     InvariantViolation,
-    MalformedInstance,
     NoSolutionError,
+    status_rank,
 )
 from repro.guard.invariants import check_final
 from repro.hazards.instance import HazardFreeInstance
@@ -86,9 +87,6 @@ from repro.pipeline import (
     Step,
 )
 from repro.pipeline.manager import default_hooks
-
-#: status severity order for merging per-output results
-_STATUS_RANK = {"ok": 0, "degraded": 1, "budget_exceeded": 2}
 
 #: stage names ``EspressoHFOptions.passes`` / CLI ``--pipeline`` accepts
 HF_STAGES = ("essentials", "loop", "last_gasp", "make_prime")
@@ -652,7 +650,7 @@ def merge_output_results(
         for phase, seconds in result.phase_seconds.items():
             phases[phase] = phases.get(phase, 0.0) + seconds
         counters.merge(result.counters)
-        if _STATUS_RANK[result.status] > _STATUS_RANK[status]:
+        if status_rank(result.status) > status_rank(status):
             status = result.status
         trace.extend(f"out{j}/{line}" for line in result.trace)
         essentials.extend(
@@ -717,18 +715,14 @@ def _result_from_row(instance: HazardFreeInstance, row: dict) -> HFResult:
     propagated, so the two modes are behaviour-identical at the call site.
     """
     status = row["status"]
-    if status == "no_solution":
-        raise NoSolutionError(row.get("error") or row.get("name", "per-output"))
-    if status == "malformed":
-        raise MalformedInstance(row.get("error") or row.get("name", "per-output"))
-    if status == "invariant_violation":
-        raise InvariantViolation(
-            "final", [row.get("error") or row.get("name", "per-output")]
-        )
-    if status not in _STATUS_RANK:
-        raise RuntimeError(
-            f"per-output worker failed ({status}): {row.get('error')}"
-        )
+    outcome = OUTCOMES.get(status, OUTCOMES["crash"])
+    if not outcome.cover:
+        error = row.get("error") or row.get("name", "per-output")
+        if outcome.exc is None:
+            raise RuntimeError(f"per-output worker failed ({status}): {error}")
+        if outcome.exc is InvariantViolation:
+            raise InvariantViolation("final", [error])
+        raise outcome.exc(error)
     n = instance.n_inputs
     cover = Cover(n, (), 1)
     for inbits, outbits in row["cover_cubes"]:

@@ -40,18 +40,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-#: statuses in "worst-of" order; a current status later in the list than
-#: the baseline's is a degradation
-STATUS_ORDER = (
-    "ok",
-    "degraded",
-    "budget_exceeded",
-    "no_solution",
-    "invariant_violation",
-    "malformed",
-    "crash",
-    "timeout",
-)
+from repro.guard.errors import status_rank
 
 
 @dataclass(frozen=True)
@@ -173,13 +162,6 @@ def _op_exclusive_total(row: Dict[str, Any]) -> Optional[float]:
     return float(sum(exclusive.values()))
 
 
-def _status_rank(status: str) -> int:
-    try:
-        return STATUS_ORDER.index(status)
-    except ValueError:
-        return len(STATUS_ORDER)
-
-
 def compare_snapshots(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
@@ -253,7 +235,8 @@ def compare_snapshots(
 
         b_status = b_row.get("status", "ok")
         c_status = c_row.get("status", "ok")
-        if _status_rank(c_status) > _status_rank(b_status):
+        # a status ranked worse than the baseline's is a degradation
+        if status_rank(c_status) > status_rank(b_status):
             deltas.append(
                 Delta(
                     kind="status",

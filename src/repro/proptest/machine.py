@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.cubes.cover import Cover
 from repro.guard.budget import RunBudget
-from repro.guard.errors import BudgetExceeded
+from repro.guard.errors import OUTCOMES, BudgetExceeded
 from repro.guard.invariants import check_phase
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf.context import HFContext
@@ -196,7 +196,7 @@ if HAVE_HYPOTHESIS:
                 result = espresso_hf(self.instance, options)
             except BudgetExceeded:
                 return  # exhausted before any valid cover existed: legal
-            assert result.status in ("ok", "degraded", "budget_exceeded")
+            assert OUTCOMES[result.status].cover
             assert not verify_hazard_free_cover(self.instance, result.cover)
 
         @precondition(lambda self: self.instance is not None and not self.did_checked_diff)

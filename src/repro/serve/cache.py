@@ -6,7 +6,8 @@ fingerprint hashes the :func:`~repro.guard.bundle.options_to_dict`
 snapshot so a ``--checked`` run and a stage-subset run never share an
 entry with the default pipeline.
 
-What gets cached is deliberately narrow: ``ok`` covers (stored in
+What gets cached is deliberately narrow, the ``cacheable`` rows of
+:data:`repro.guard.errors.OUTCOMES`: ``ok`` covers (stored in
 *canonical* variable labeling, so one entry serves every
 permutation/polarity rewrite of the instance) and ``no_solution``
 verdicts (Theorem 4.1 is a property of the function, equally invariant).
@@ -28,9 +29,7 @@ import json
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-#: outcome statuses that are safe to cache (instance properties, not
-#: run accidents)
-CACHEABLE_STATUSES = ("ok", "no_solution")
+from repro.guard.errors import BY_WIRE
 
 CacheKey = Tuple[str, str]
 
@@ -77,7 +76,8 @@ class ResultCache:
         return entry
 
     def put(self, key: CacheKey, entry: Dict[str, Any]) -> None:
-        if entry.get("status") not in CACHEABLE_STATUSES:
+        outcome = BY_WIRE.get(entry.get("status"))
+        if outcome is None or not outcome.cacheable:
             raise ValueError(
                 f"refusing to cache status {entry.get('status')!r}"
             )

@@ -32,10 +32,12 @@ Responses
 ---------
 
 Every response carries ``id`` (echoed), ``ok`` (bool) and ``status`` — one
-of :data:`RESPONSE_STATUSES`; see ``docs/SERVICE.md`` for the full failure
-semantics.  Malformed lines are answered with ``status="protocol_error"``
-when the line parses far enough to answer at all; an over-long line kills
-the connection (the framing is already lost).
+of :data:`RESPONSE_STATUSES`, the wire column of the outcome table
+(:data:`repro.guard.errors.OUTCOMES`), which also fixes each status's
+``ok`` flag; see ``docs/SERVICE.md`` for the full failure semantics.
+Malformed lines are answered with ``status="protocol_error"`` when the
+line parses far enough to answer at all; an over-long line kills the
+connection (the framing is already lost).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from repro.guard.errors import BY_WIRE
 
 PROTOCOL_VERSION = 1
 
@@ -53,23 +57,10 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 REQUEST_OPS = ("minimize", "ping", "stats", "shutdown")
 
 #: every status a response can carry
-RESPONSE_STATUSES = (
-    "ok",            # minimized (cover attached)
-    "degraded",      # budget ran out; best *verified* cover attached
-    "budget_exceeded",
-    "no_solution",   # Theorem 4.1: no hazard-free cover exists
-    "malformed",     # bad PLA text / ill-formed instance
-    "timeout",       # per-job wall cap exceeded
-    "worker_crashed",  # worker died and retries ran out
-    "quarantined",   # poison job: killed too many workers, see bundle
-    "shed",          # admission control refused (queue/wait/size limits)
-    "shutting_down", # daemon is draining; no new work accepted
-    "error",         # unexpected internal failure
-    "protocol_error",
-)
+RESPONSE_STATUSES = tuple(BY_WIRE)
 
 #: statuses that still attach a usable hazard-free cover
-COVER_STATUSES = ("ok", "degraded", "budget_exceeded")
+COVER_STATUSES = tuple(status for status, o in BY_WIRE.items() if o.cover)
 
 
 class ProtocolError(ValueError):
@@ -160,10 +151,9 @@ def response(
     **fields: Any,
 ) -> Dict[str, Any]:
     """Build a response dict with the mandatory envelope fields."""
-    assert status in RESPONSE_STATUSES, status
     message: Dict[str, Any] = {
         "id": req_id,
-        "ok": status in COVER_STATUSES or status == "no_solution",
+        "ok": BY_WIRE[status].ok,
         "status": status,
         "v": PROTOCOL_VERSION,
     }

@@ -49,18 +49,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.guard.bundle import options_from_dict, options_to_dict, write_bundle
-from repro.guard.errors import MalformedInstance
+from repro.guard.errors import BY_WIRE, OUTCOMES, MalformedInstance
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import TIME_BUCKETS_S
-from repro.serve.cache import (
-    CACHEABLE_STATUSES,
-    MalformedCache,
-    ResultCache,
-    options_fingerprint,
-)
+from repro.serve.cache import MalformedCache, ResultCache, options_fingerprint
 from repro.session.store import SessionStore
 from repro.serve.canon import CanonicalForm, canonicalize
-from repro.serve.protocol import COVER_STATUSES, Request, response
+from repro.serve.protocol import Request, response
 
 
 @dataclass
@@ -473,7 +468,8 @@ class Supervisor:
             outcome.get("session_stored") or job.cache_key[0] in self.sessions
         ):
             fields["warm_key"] = job.cache_key[0]
-        if status in COVER_STATUSES and outcome.get("cover_pla"):
+        has_cover = BY_WIRE[status].cover
+        if has_cover and outcome.get("cover_pla"):
             from repro.pla import format_cover, parse_pla
 
             canonical_cover = parse_pla(outcome["cover_pla"]).on
@@ -481,7 +477,7 @@ class Supervisor:
             fields["cover_pla"] = format_cover(
                 cover, pla_type="f", name=f"{job.name} minimized"
             )
-        if status in ("degraded", "budget_exceeded"):
+        if has_cover and status != "ok":
             self._count("serve.degraded_served")
         return response(req.id, status, **fields)
 
@@ -542,10 +538,7 @@ class Supervisor:
                     },
                 )
                 outcome["session_stored"] = True
-            if (
-                not job.no_cache
-                and outcome["status"] in CACHEABLE_STATUSES
-            ):
+            if not job.no_cache and BY_WIRE[outcome["status"]].cacheable:
                 # Cache entries outlive this request: strip the per-run
                 # warm-start disposition so a later cache hit does not
                 # replay it.
@@ -595,7 +588,7 @@ class Supervisor:
                 self._crash_counts.pop(job.cache_key, None)
                 return self._outcome_from_row(job, row, attempt)
 
-            self._count("serve.worker_crashes")
+            self._count(OUTCOMES["worker_crashed"].counter)
             crashes = self._crash_counts.get(job.cache_key, 0) + 1
             self._crash_counts[job.cache_key] = crashes
             if crashes >= cfg.quarantine_threshold:
@@ -625,20 +618,10 @@ class Supervisor:
         self, job: _Job, row: Dict[str, Any], attempt: int
     ) -> Dict[str, Any]:
         """Canonical-space outcome for a row the worker reported itself."""
-        status = row["status"]
-        counter = {
-            "ok": "serve.completed_ok",
-            "degraded": "serve.completed_degraded",
-            "budget_exceeded": "serve.completed_degraded",
-            "no_solution": "serve.no_solution",
-            "malformed": "serve.malformed",
-            "timeout": "serve.timeouts",
-            "invariant_violation": "serve.invariant_violations",
-            "crash": "serve.worker_errors",
-        }.get(status, "serve.worker_errors")
-        self._count(counter)
+        row_outcome = OUTCOMES.get(row["status"], OUTCOMES["crash"])
+        self._count(row_outcome.counter)
         outcome: Dict[str, Any] = {
-            "status": status if status != "crash" else "error",
+            "status": row_outcome.wire,
             "error": row.get("error"),
             "bundle_path": row.get("bundle_path"),
             "attempts": attempt + 1,
@@ -666,7 +649,7 @@ class Supervisor:
             )
             if reverified:
                 self._count("warmstart.cubes_reverified", int(reverified))
-        if status in COVER_STATUSES and row.get("cover_pla"):
+        if row_outcome.cover and row.get("cover_pla"):
             from repro.pla import format_cover, parse_pla
 
             cover = parse_pla(row["cover_pla"]).on

@@ -177,6 +177,55 @@ class TestCraftedDisagreement:
         assert "UNEXPLAINED" in format_scoreboard(board)
 
 
+class TestHeuristicOutcome:
+    """The heuristic side takes its status from the outcome table, so a
+    differential row and an isolated-runner row classify one exception
+    the same way."""
+
+    @staticmethod
+    def _tiny():
+        return next(
+            i for i in generate_corpus(seed=1, count=20) if i.stratum == "tiny"
+        )
+
+    def test_mid_run_malformed_instance_is_malformed(self):
+        from repro.guard.runner import minimize_payload, pla_payload
+
+        inst = self._tiny()
+        inject = {"raise": "malformed"}
+        row = run_differential_payload(
+            differential_payload(inst.name, inst.pla_text, inject=inject)
+        )
+        payload = pla_payload(inst.pla_text, name=inst.name)
+        payload["inject"] = inject
+        assert minimize_payload(payload)["status"] == "malformed"
+        assert row["hf_status"] == "malformed"
+        assert row["verdict"] == "hf_error"
+        assert row["explained"] is False
+        assert row["error"].startswith("MalformedInstance: ")
+
+    def test_escaped_budget_is_a_timeout_with_the_hf_budget_verdict(
+        self, monkeypatch
+    ):
+        import sys
+
+        from repro.guard.errors import BudgetExceeded
+
+        def starved(*args, **kwargs):
+            raise BudgetExceeded("wall clock", phase="canonicalize")
+
+        monkeypatch.setattr(
+            sys.modules["repro.hf.espresso_hf"], "espresso_hf", starved
+        )
+        inst = self._tiny()
+        row = run_differential_payload(
+            differential_payload(inst.name, inst.pla_text)
+        )
+        assert row["hf_status"] == "timeout"
+        assert row["verdict"] == "hf_budget"
+        assert row["explained"] is True
+
+
 class TestScoreboard:
     def test_scoreboard_shape_and_rates(self, smoke_rows):
         _, rows, stats = smoke_rows

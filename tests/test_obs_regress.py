@@ -196,6 +196,23 @@ class TestQualityRules:
         assert "alpha" not in _verdicts(report, "status")
         assert report.passed
 
+    def test_worker_crashed_ranks_worse_than_timeout(self, baseline):
+        # worker_crashed is an explicit outcome-table row, ranked worst:
+        # timeout -> worker_crashed gates, the reverse is an improvement,
+        # and an unknown status ranks level with it (as before it had a row)
+        baseline["circuits"][0]["status"] = "timeout"
+        baseline["circuits"][1]["status"] = "worker_crashed"
+        current = copy.deepcopy(baseline)
+        current["circuits"][0]["status"] = "worker_crashed"
+        current["circuits"][1]["status"] = "timeout"
+        statuses = _verdicts(compare_snapshots(baseline, current), "status")
+        assert statuses == {"alpha": "fail"}
+        current["circuits"][0]["status"] = "not-a-status"
+        current["circuits"][1]["status"] = "worker_crashed"
+        assert not _verdicts(compare_snapshots(current, baseline), "status")
+        baseline["circuits"][0]["status"] = "worker_crashed"
+        assert not _verdicts(compare_snapshots(baseline, current), "status")
+
 
 class TestCoverageRules:
     def test_new_circuit_warns_not_fails(self, baseline):
