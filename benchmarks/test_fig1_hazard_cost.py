@@ -10,9 +10,10 @@ from repro.bench.figure1 import (
     minimum_plain_cover,
 )
 from repro.bm.random_spec import random_instance
+from repro.detect import Netlist
 from repro.exact import exact_hazard_free_minimize
 from repro.hazards import hazard_free_solution_exists
-from repro.simulate import SopNetwork, find_glitch
+from repro.simulate import find_glitch
 
 
 def test_figure1_gap(benchmark):
@@ -26,7 +27,7 @@ def test_figure1_plain_cover_glitches(benchmark):
     """The 4-product minimum cover really glitches under random delays."""
     instance = figure1_instance()
     result = figure1_experiment()
-    network = SopNetwork(result.plain_cover)
+    network = Netlist.from_cover(result.plain_cover)
 
     def run():
         return [
@@ -40,7 +41,7 @@ def test_figure1_plain_cover_glitches(benchmark):
 def test_figure1_hf_cover_never_glitches(benchmark):
     instance = figure1_instance()
     result = figure1_experiment()
-    network = SopNetwork(result.hazard_free_cover)
+    network = Netlist.from_cover(result.hazard_free_cover)
 
     def run():
         return [

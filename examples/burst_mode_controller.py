@@ -14,10 +14,11 @@ Run: python examples/burst_mode_controller.py
 """
 
 from repro.bm import BurstModeSpec, synthesize
+from repro.detect import Netlist
 from repro.hf import espresso_hf
 from repro.hazards import verify_hazard_free_cover
 from repro.pla import write_pla
-from repro.simulate import SopNetwork, find_glitch
+from repro.simulate import find_glitch
 
 REQ, GRANT, DONE = 0, 1, 2
 BUSREQ, XFER = 0, 1
@@ -64,9 +65,9 @@ print("\nwrote dma-ctrl.pla (instance) and dma-ctrl.min.pla (minimized cover)")
 
 print("\nMonte-Carlo glitch check on every specified transition / output:")
 clean = True
+network = Netlist.from_cover(hf.cover)
 for j in range(instance.n_outputs):
-    network = SopNetwork(hf.cover, output=j)
     for t in instance.transitions:
-        if find_glitch(network, t, trials=100, seed=j) is not None:
+        if find_glitch(network, t, trials=100, seed=j, output=j) is not None:
             clean = False
 print("   no glitches found" if clean else "   GLITCH FOUND (bug!)")

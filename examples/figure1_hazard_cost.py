@@ -13,8 +13,9 @@ Run: python examples/figure1_hazard_cost.py
 """
 
 from repro.bench.figure1 import figure1_experiment, figure1_instance
+from repro.detect import Netlist
 from repro.hazards import verify_hazard_free_cover
-from repro.simulate import SopNetwork, find_glitch
+from repro.simulate import find_glitch
 
 instance = figure1_instance()
 result = figure1_experiment()
@@ -32,8 +33,8 @@ for violation in verify_hazard_free_cover(instance, result.plain_cover, collect_
     print(f"   {violation}")
 
 print("\nMonte-Carlo delay simulation (400 random delay assignments per transition):")
-net_plain = SopNetwork(result.plain_cover)
-net_hf = SopNetwork(result.hazard_free_cover)
+net_plain = Netlist.from_cover(result.plain_cover)
+net_hf = Netlist.from_cover(result.hazard_free_cover)
 for t in instance.transitions:
     glitch_plain = find_glitch(net_plain, t, trials=400)
     glitch_hf = find_glitch(net_hf, t, trials=400)

@@ -13,9 +13,9 @@ Run: python examples/hazard_analysis.py
 """
 
 from repro.cubes import Cover
+from repro.detect import Netlist
 from repro.hazards import HazardFreeInstance, Transition, verify_hazard_free_cover
 from repro.simulate import (
-    SopNetwork,
     classify_network,
     find_glitch,
     has_static_hazard_ternary,
@@ -34,7 +34,7 @@ instance = HazardFreeInstance(on, off, [transition], name="textbook")
 print("transition: a falls with b = c = 1 (f must hold 1)\n")
 for label, cover in [("hazardous f = ab + a'c", hazardous),
                      ("repaired  f = ab + a'c + bc", repaired)]:
-    network = SopNetwork(cover)
+    network = Netlist.from_cover(cover)
     print(f"{label}:")
     violations = verify_hazard_free_cover(instance, cover)
     print(f"   Theorem 2.11 : {violations[0] if violations else 'hazard-free'}")

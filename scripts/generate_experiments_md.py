@@ -10,10 +10,11 @@ from repro.bench.figure1 import figure1_experiment, figure1_instance
 from repro.bench.figure8 import run_figure8, DEFAULT_EXACT_BUDGET
 from repro.bm.benchmarks import BENCHMARKS
 from repro.bm.random_spec import random_instance
+from repro.detect import Netlist
 from repro.exact import exact_hazard_free_minimize
 from repro.hazards import hazard_free_solution_exists
 from repro.hf import espresso_hf, EspressoHFOptions
-from repro.simulate import SopNetwork, find_glitch
+from repro.simulate import find_glitch
 
 
 def figure8_section(lines):
@@ -69,7 +70,7 @@ def figure8_section(lines):
 def figure1_section(lines):
     result = figure1_experiment()
     inst = figure1_instance()
-    net_plain = SopNetwork(result.plain_cover)
+    net_plain = Netlist.from_cover(result.plain_cover)
     glitching = [
         str(t) for t in inst.transitions if find_glitch(net_plain, t, trials=400)
     ]

@@ -439,13 +439,14 @@ def _run_command(args, tracer) -> int:
         )
 
     if args.simulate > 0:
-        from repro.simulate import SopNetwork, find_glitch
+        from repro.detect.netlist import Netlist
+        from repro.simulate import find_glitch
 
         glitches = 0
+        network = Netlist.from_cover(cover)
         for j in range(instance.n_outputs):
-            network = SopNetwork(cover, output=j)
             for t in instance.transitions:
-                if find_glitch(network, t, trials=args.simulate) is not None:
+                if find_glitch(network, t, trials=args.simulate, output=j) is not None:
                     glitches += 1
                     print(
                         f"GLITCH: output {j} on transition {t}", file=sys.stderr

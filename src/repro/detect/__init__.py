@@ -5,8 +5,9 @@ repository minimizes covers *we* produce, this package judges circuits
 *anyone* brings:
 
 * :mod:`repro.detect.netlist` — the multi-level :class:`Netlist` IR with
-  topological binary and Kleene-ternary evaluation, generalizing the
-  two-level :class:`~repro.simulate.network.SopNetwork`;
+  topological binary and Kleene-ternary evaluation; its two-level
+  ``from_cover`` shape is also what the simulators of
+  :mod:`repro.simulate` run on;
 * :mod:`repro.detect.ternary` — ternary points, the hazard-derivative
   chain rule (Ikenmeyer et al.), and cover-based function-stability
   checks;

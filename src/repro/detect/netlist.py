@@ -1,10 +1,11 @@
 """The gate-level netlist IR: multi-level AND/OR/NOT networks.
 
-:class:`~repro.simulate.network.SopNetwork` hard-codes the two-level
-AND-OR shape of a cover.  Detection (ROADMAP item 1) must accept *foreign*
-circuits — arbitrary DeMorgan netlists — so this module provides the
-general IR: a flat list of gates in topological order, binary and ternary
-(Kleene) evaluation over that order, and conversions to and from covers.
+One IR serves every gate-level consumer.  Detection (ROADMAP item 1)
+must accept *foreign* circuits — arbitrary DeMorgan netlists — and the
+two-level simulators (:mod:`repro.simulate`) run on the canonical
+realization of a cover that :meth:`Netlist.from_cover` builds.  The IR is
+a flat list of gates in topological order, binary and ternary (Kleene)
+evaluation over that order, and conversions to and from covers.
 
 Design notes
 ------------
@@ -24,7 +25,9 @@ Design notes
   and produces the witness traces.
 * ``from_cover`` builds the canonical two-level realization (shared NOT
   gates on complemented inputs, one AND per distinct product, one OR per
-  output) and ``as_cover`` inverts it for any netlist that still has that
+  output).  :meth:`Netlist.products` is the one decoder of that shape:
+  the simulators read an output's products through it, and ``as_cover``
+  inverts ``from_cover`` through it for any netlist that still has the
   shape — the bridge that lets two-level oracles (Theorem 2.11, the
   Monte-Carlo simulator) judge netlist-level mutations.
 
@@ -53,6 +56,11 @@ from repro.guard.errors import MalformedInstance
 OPS = ("input", "and", "or", "not", "const0", "const1")
 
 _NULLARY = ("input", "const0", "const1")
+
+
+#: One product of a two-level output: ``(input index, phase)`` literals,
+#: phase 1 = positive.
+Product = Tuple[Tuple[int, int], ...]
 
 
 class NetlistError(MalformedInstance):
@@ -95,7 +103,8 @@ class Netlist:
     """
 
     __slots__ = (
-        "name", "n_inputs", "gates", "outputs", "_index", "_depths", "_cones"
+        "name", "n_inputs", "gates", "outputs", "_index", "_depths", "_cones",
+        "_products",
     )
 
     def __init__(
@@ -154,6 +163,7 @@ class Netlist:
         self._index = index
         self._depths: Optional[Tuple[int, ...]] = None
         self._cones: Dict[int, Tuple[Tuple[int, str, Tuple[int, ...]], ...]] = {}
+        self._products: Dict[int, Tuple[Product, ...]] = {}
 
     # ------------------------------------------------------------------
     # metrics
@@ -364,9 +374,18 @@ class Netlist:
         Complemented literals go through shared NOT gates (one per input
         actually used complemented), mirroring the gate/wire structure the
         Monte-Carlo simulator assumes.  Tautological cubes become
-        ``const1``; outputs with no cubes become ``const0``.
+        ``const1``; outputs with no cubes become ``const0``.  A cube whose
+        width differs from the cover's (possible when ``Cover.cubes`` is
+        rebuilt by hand) raises a line-numbered
+        :class:`~repro.guard.errors.MalformedInstance`.
         """
         n = cover.n_inputs
+        for row, c in enumerate(cover, start=1):
+            if c.n_inputs != n:
+                raise MalformedInstance(
+                    f"cover cube {row}: {c.n_inputs} input literals do not "
+                    f"fit a {n}-input cover"
+                )
         gates: List[Gate] = [Gate(f"x{i}", "input") for i in range(n)]
         not_gate: Dict[int, int] = {}
         for c in cover:
@@ -425,66 +444,70 @@ class Netlist:
                 gates.append(Gate(f"f{j}", "or", tuple(fanin)))
         return cls(n, gates, outputs, name=name)
 
+    def products(self, output: int) -> Tuple[Product, ...]:
+        """The products ORed into ``outputs[output]``, in fan-in order.
+
+        The output must be two-level: a ``const``, an input literal
+        (possibly through NOT gates), an AND of literals, or an OR of such
+        terms.  ``const1`` is the empty product; ``const0`` contributes
+        none.  Raises :class:`NetlistError` for genuinely multi-level
+        netlists.
+        """
+        cached = self._products.get(output)
+        if cached is not None:
+            return cached
+        root = self.outputs[output]
+        terms = self.gates[root].fanin if self.gates[root].op == "or" else (root,)
+        products: List[Product] = []
+        for t in terms:
+            g = self.gates[t]
+            if g.op == "const1":
+                products.append(())
+            elif g.op == "and":
+                products.append(tuple(self._literal(f) for f in g.fanin))
+            elif g.op in ("input", "not"):
+                products.append((self._literal(t),))
+            elif g.op == "or":
+                raise NetlistError(
+                    f"{self.name}: nested OR under output {output}; "
+                    "netlist is not two-level"
+                )
+        self._products[output] = result = tuple(products)
+        return result
+
+    def _literal(self, i: int) -> Tuple[int, int]:
+        """Resolve gate ``i`` to ``(input index, phase)`` through NOTs."""
+        phase = 1
+        while self.gates[i].op == "not":
+            phase = 1 - phase
+            i = self.gates[i].fanin[0]
+        if self.gates[i].op != "input":
+            raise NetlistError(
+                f"{self.name}: gate {self.gates[i].name!r} is not a "
+                "literal; netlist is not two-level"
+            )
+        return i, phase
+
     def as_cover(self) -> Cover:
         """Invert :meth:`from_cover` for any two-level-shaped netlist.
 
-        Each output must be a ``const``, an input literal (possibly
-        through NOT gates), an AND of literals, or an OR of such terms.
-        Raises :class:`NetlistError` for genuinely multi-level netlists.
+        Reads every output through :meth:`products`, so it raises
+        :class:`NetlistError` for genuinely multi-level netlists.  A
+        product holding both phases of an input is empty and contributes
+        nothing.
         """
         n, n_out = self.n_inputs, self.n_outputs
-
-        def literal_of(i: int) -> Tuple[int, int]:
-            """Resolve gate ``i`` to ``(input index, phase)`` through NOTs."""
-            phase = 1
-            while self.gates[i].op == "not":
-                phase = 1 - phase
-                i = self.gates[i].fanin[0]
-            if self.gates[i].op != "input":
-                raise NetlistError(
-                    f"{self.name}: gate {self.gates[i].name!r} is not a "
-                    "literal; netlist is not two-level"
-                )
-            return i, phase
-
-        def product_of(i: int) -> Optional[int]:
-            """The inbits of gate ``i`` viewed as a product, else None."""
-            g = self.gates[i]
-            if g.op == "const1":
-                return Cube.from_string("-" * n).inbits if n else 0
-            if g.op in ("input", "not"):
-                var, phase = literal_of(i)
-                code = LITERAL_ONE if phase else LITERAL_ZERO
-                cube = Cube.from_string("-" * n) if n else Cube(0, 0)
-                return cube.with_literal(var, code).inbits
-            if g.op == "and":
-                cube = Cube.from_string("-" * n)
-                for f in g.fanin:
-                    var, phase = literal_of(f)
-                    code = LITERAL_ONE if phase else LITERAL_ZERO
-                    have = cube.literal(var)
-                    if have != LITERAL_DC and have != code:
-                        return None  # x AND NOT x: empty product
-                    cube = cube.with_literal(var, code)
-                return cube.inbits
-            return None
-
         by_inbits: Dict[int, int] = {}
-        for j, o in enumerate(self.outputs):
-            g = self.gates[o]
-            if g.op == "const0":
-                continue
-            terms = g.fanin if g.op == "or" else (o,)
-            for t in terms:
-                p = product_of(t)
-                if p is None:
-                    if self.gates[t].op == "or":
-                        raise NetlistError(
-                            f"{self.name}: nested OR under output {j}; "
-                            "netlist is not two-level"
-                        )
-                    continue  # empty product contributes nothing
-                by_inbits[p] = by_inbits.get(p, 0) | (1 << j)
+        for j in range(n_out):
+            for product in self.products(j):
+                cube = Cube.full(n)
+                for var, phase in product:
+                    code = LITERAL_ONE if phase else LITERAL_ZERO
+                    if cube.literal(var) not in (LITERAL_DC, code):
+                        break  # x AND NOT x: empty product
+                    cube = cube.with_literal(var, code)
+                else:
+                    by_inbits[cube.inbits] = by_inbits.get(cube.inbits, 0) | (1 << j)
         cover = Cover(n, n_outputs=n_out)
         for inbits in sorted(by_inbits):
             cover.append(Cube(n, inbits, by_inbits[inbits], n_out))

@@ -63,7 +63,8 @@ def check_instance(inst, budget=None, do_exact=True, do_sim=True) -> str:
     from repro.hazards import hazard_free_solution_exists
     from repro.hazards.verify import verify_hazard_free_cover
     from repro.hf import espresso_hf
-    from repro.simulate import SopNetwork, find_glitch
+    from repro.detect.netlist import Netlist
+    from repro.simulate import find_glitch
     from repro.simulate.algebra import cover_hazard_free_by_algebra
 
     if budget is None:
@@ -106,10 +107,10 @@ def check_instance(inst, budget=None, do_exact=True, do_sim=True) -> str:
         except ExactFailure:
             pass
     if do_sim:
+        network = Netlist.from_cover(hf.cover)
         for j in range(min(inst.n_outputs, 4)):
-            network = SopNetwork(hf.cover, output=j)
             for t in inst.transitions[:6]:
-                glitch = find_glitch(network, t, trials=30, seed=1)
+                glitch = find_glitch(network, t, trials=30, seed=1, output=j)
                 assert glitch is None, f"{inst.name}: {glitch}"
     return "ok"
 

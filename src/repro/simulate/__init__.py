@@ -1,6 +1,9 @@
 """Gate-level hazard analysis for AND-OR implementations of covers.
 
-Two independent dynamic cross-checks of the algebraic hazard conditions:
+Every simulator runs on the detector's IR: build one
+``repro.detect.netlist.Netlist.from_cover(cover)`` per cover and pass the
+output index as ``output=`` (default 0).  Two independent dynamic
+cross-checks of the algebraic hazard conditions:
 
 * :mod:`repro.simulate.ternary` — Eichelberger-style ternary (0/X/1)
   simulation: changing inputs are driven to X; an output that resolves to X
@@ -13,7 +16,6 @@ Two independent dynamic cross-checks of the algebraic hazard conditions:
   glitch; deliberately hazardous covers glitch for some delay assignment.
 """
 
-from repro.simulate.network import SopNetwork
 from repro.simulate.ternary import ternary_value, ternary_simulate, has_static_hazard_ternary
 from repro.simulate.montecarlo import (
     simulate_transition,
@@ -37,7 +39,6 @@ from repro.simulate.algebra import (
 from repro.simulate.vcd import waveform_to_vcd, trace_to_vcd
 
 __all__ = [
-    "SopNetwork",
     "ternary_value",
     "ternary_simulate",
     "has_static_hazard_ternary",

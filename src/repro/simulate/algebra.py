@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.hazards.transitions import Transition
-from repro.simulate.network import SopNetwork
+
+if TYPE_CHECKING:
+    from repro.detect.netlist import Netlist
 
 
 class W(enum.Enum):
@@ -166,8 +168,10 @@ def input_class(start: int, end: int) -> W:
     return W.RISE if end else W.FALL
 
 
-def classify_network(network: SopNetwork, transition: Transition) -> W:
-    """The output waveform class of a two-level AND-OR network.
+def classify_network(
+    network: Netlist, transition: Transition, output: int = 0
+) -> W:
+    """The waveform class of output ``output`` of a two-level netlist.
 
     Every literal wire is delayed independently (unbounded wire delay), so
     gate inputs compose as independent classes.
@@ -176,22 +180,24 @@ def classify_network(network: SopNetwork, transition: Transition) -> W:
         input_class(a, b) for a, b in zip(transition.start, transition.end)
     ]
     or_acc = W.S0
-    for gate in network.and_gates:
+    for literals in network.products(output):
         acc = W.S1
-        for var, phase in gate.literals:
+        for var, phase in literals:
             lit = input_classes[var] if phase else wnot(input_classes[var])
             acc = wand(acc, lit)
         or_acc = wor(or_acc, acc)
     return or_acc
 
 
-def has_logic_hazard(network: SopNetwork, transition: Transition) -> bool:
+def has_logic_hazard(
+    network: Netlist, transition: Transition, output: int = 0
+) -> bool:
     """True iff the network can glitch on the transition (any type).
 
     Exact for two-level networks under the paper's delay model; covers both
     static and dynamic hazards (unlike plain ternary simulation).
     """
-    return classify_network(network, transition).hazard
+    return classify_network(network, transition, output).hazard
 
 
 def cover_hazard_free_by_algebra(instance, cover) -> bool:
@@ -204,11 +210,11 @@ def cover_hazard_free_by_algebra(instance, cover) -> bool:
     independent oracle derived from waveform composition instead of the
     covering lemmas.
     """
-    networks = [
-        SopNetwork(cover, output=j) for j in range(instance.n_outputs)
-    ]
+    from repro.detect.netlist import Netlist
+
+    network = Netlist.from_cover(cover)
     for t in instance.transitions:
-        for j, network in enumerate(networks):
-            if has_logic_hazard(network, t):
+        for j in range(instance.n_outputs):
+            if has_logic_hazard(network, t, j):
                 return False
     return True

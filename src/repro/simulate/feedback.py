@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cubes.cover import Cover
 from repro.hazards.transitions import Transition
 from repro.simulate.montecarlo import is_monotonic_waveform, simulate_transition
-from repro.simulate.network import SopNetwork
 
 
 class FeedbackSimulationError(AssertionError):
@@ -70,16 +69,17 @@ class ClosedLoopMachine:
         rng: Optional[random.Random] = None,
         max_delay: float = 10.0,
     ):
+        from repro.detect.netlist import Netlist
+
         if cover.n_inputs != n_ext_inputs + n_states:
             raise ValueError("cover inputs must be spec inputs + state vars")
         if cover.n_outputs < n_states:
             raise ValueError("cover has fewer outputs than state variables")
         self.n_ext = n_ext_inputs
         self.n_states = n_states
-        self.n_spec_outputs = cover.n_outputs - n_states
         self.rng = rng or random.Random(0)
         self.max_delay = max_delay
-        self.networks = [SopNetwork(cover, output=j) for j in range(cover.n_outputs)]
+        self.netlist = Netlist.from_cover(cover)
         self.ext_inputs: Tuple[int, ...] = tuple([0] * n_ext_inputs)
         self.state: Tuple[int, ...] = tuple([0] * n_states)
 
@@ -92,9 +92,9 @@ class ClosedLoopMachine:
         """Place the machine in a total state; it must be stable."""
         self.ext_inputs = tuple(ext_inputs)
         self.state = tuple(state)
-        vec = self.total_inputs()
+        values = self.netlist.evaluate(self.total_inputs())
         for k in range(self.n_states):
-            if self.networks[k].evaluate(vec) != self.state[k]:
+            if values[k] != self.state[k]:
                 raise FeedbackSimulationError(
                     f"reset total state is unstable on state bit {k}"
                 )
@@ -112,32 +112,30 @@ class ClosedLoopMachine:
         transition = Transition(start, end)
         report = StepReport(transition=transition)
         # Phase 1: exact waveforms under random per-gate/per-wire delays.
-        for j, net in enumerate(self.networks):
-            waveform = simulate_transition(net, transition, self.rng, self.max_delay)
+        start_values = self.netlist.evaluate(start)
+        settled = self.netlist.evaluate(end)
+        for j in range(self.netlist.n_outputs):
+            waveform = simulate_transition(
+                self.netlist, transition, self.rng, self.max_delay, j
+            )
             report.waveforms.append(waveform)
             monotonic = is_monotonic_waveform(
-                waveform, net.evaluate(start), net.evaluate(end)
+                waveform, start_values[j], settled[j]
             )
             report._monotonic_flags.append(monotonic)
         # Phase 2: local clock latches the settled next-state code.
-        settled = end
-        next_state = tuple(
-            self.networks[k].evaluate(settled) for k in range(self.n_states)
-        )
-        latched = new_ext + next_state
+        next_state = settled[: self.n_states]
+        latched = self.netlist.evaluate(new_ext + next_state)
         # The latch must not disturb the combinational functions.
-        for j, net in enumerate(self.networks):
-            if net.evaluate(latched) != net.evaluate(settled):
+        for j, (after, before) in enumerate(zip(latched, settled)):
+            if after != before:
                 raise FeedbackSimulationError(
                     f"function {j} is unstable across the state latch"
                 )
         self.ext_inputs = new_ext
         self.state = next_state
         report.new_state = next_state
-        report.new_outputs = tuple(
-            self.networks[self.n_states + j].evaluate(latched)
-            for j in range(self.n_spec_outputs)
-        )
+        report.new_outputs = latched[self.n_states :]
         return report
 
 

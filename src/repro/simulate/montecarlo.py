@@ -10,16 +10,23 @@ checks the output waveform for monotonicity.
 Covers satisfying Theorem 2.11 must never glitch in any trial; for covers
 that violate it, enough random trials find a glitching delay assignment —
 this is the library's independent dynamic check of the algebraic theory.
+
+The network is a two-level :class:`~repro.detect.netlist.Netlist` (the
+``from_cover`` shape), read through :meth:`~repro.detect.netlist.Netlist.products`;
+the waveform computation shares nothing else with the detector.  Each
+literal wire and each OR branch draws its own delay, in product order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.hazards.transitions import Transition
-from repro.simulate.network import SopNetwork
+
+if TYPE_CHECKING:
+    from repro.detect.netlist import Netlist
 
 
 @dataclass
@@ -113,10 +120,11 @@ def _or_waveform(
 
 
 def simulate_transition(
-    network: SopNetwork,
+    network: Netlist,
     transition: Transition,
     rng: random.Random,
     max_delay: float = 10.0,
+    output: int = 0,
 ) -> List[Tuple[float, int]]:
     """One random-delay trial; returns the output waveform (time, value)."""
     start = transition.start
@@ -125,11 +133,11 @@ def simulate_transition(
     for i in changing:
         flip_time[i] = rng.uniform(0.0, max_delay)
     and_waveforms = []
-    for gate in network.and_gates:
-        wire_delays = [rng.uniform(0.0, max_delay) for _ in gate.literals]
+    for literals in network.products(output):
+        wire_delays = [rng.uniform(0.0, max_delay) for _ in literals]
         gate_delay = rng.uniform(0.0, max_delay)
         and_waveforms.append(
-            _waveform_of_and(gate.literals, flip_time, start, wire_delays, gate_delay)
+            _waveform_of_and(literals, flip_time, start, wire_delays, gate_delay)
         )
     or_wires = [rng.uniform(0.0, max_delay) for _ in and_waveforms]
     or_delay = rng.uniform(0.0, max_delay)
@@ -151,11 +159,12 @@ def is_monotonic_waveform(
 
 
 def find_glitch(
-    network: SopNetwork,
+    network: Netlist,
     transition: Transition,
     trials: int = 200,
     seed: int = 0,
     max_delay: float = 10.0,
+    output: int = 0,
 ) -> Optional[GlitchReport]:
     """Search random delay assignments for a logic hazard on one transition.
 
@@ -163,10 +172,12 @@ def find_glitch(
     ``None`` when every trial's output waveform is monotonic.
     """
     rng = random.Random(seed)
-    start_value = network.evaluate(transition.start)
-    end_value = network.evaluate(transition.end)
+    start_value = network.evaluate(transition.start)[output]
+    end_value = network.evaluate(transition.end)[output]
     for trial in range(trials):
-        waveform = simulate_transition(network, transition, rng, max_delay)
+        waveform = simulate_transition(
+            network, transition, rng, max_delay, output
+        )
         if not is_monotonic_waveform(waveform, start_value, end_value):
             return GlitchReport(transition, waveform, trial)
     return None

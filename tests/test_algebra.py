@@ -10,7 +10,8 @@ from repro.espresso.complement import complement
 from repro.hazards import Transition
 from repro.hazards.required import maximal_on_subcubes
 from repro.hazards.transitions import function_hazard_free_brute
-from repro.simulate import SopNetwork, find_glitch
+from repro.detect.netlist import Netlist
+from repro.simulate import find_glitch
 from repro.simulate.algebra import (
     W,
     classify_network,
@@ -100,13 +101,13 @@ class TestAlgebraBasics:
 
 class TestNetworkClassification:
     def test_static1_hazard_detected(self):
-        net = SopNetwork(Cover.from_strings(["11-", "0-1"]))
+        net = Netlist.from_cover(Cover.from_strings(["11-", "0-1"]))
         t = Transition((1, 1, 1), (0, 1, 1))
         assert classify_network(net, t) == W.H1
         assert has_logic_hazard(net, t)
 
     def test_consensus_removes_hazard(self):
-        net = SopNetwork(Cover.from_strings(["11-", "0-1", "-11"]))
+        net = Netlist.from_cover(Cover.from_strings(["11-", "0-1", "-11"]))
         t = Transition((1, 1, 1), (0, 1, 1))
         assert classify_network(net, t) == W.S1
         assert not has_logic_hazard(net, t)
@@ -116,18 +117,18 @@ class TestNetworkClassification:
         from repro.bench.figure1 import figure1_experiment
 
         plain = figure1_experiment().plain_cover
-        net = SopNetwork(plain)
+        net = Netlist.from_cover(plain)
         t = Transition((1, 1, 0, 0), (0, 0, 0, 0))
         assert has_logic_hazard(net, t)
 
     def test_tautology_pair_glitches(self):
         # f = a + a' is constant 1 but the OR can droop during a's change
-        net = SopNetwork(Cover.from_strings(["1", "0"]))
+        net = Netlist.from_cover(Cover.from_strings(["1", "0"]))
         t = Transition((0,), (1,))
         assert classify_network(net, t) == W.H1
 
     def test_single_cube_never_hazardous_static(self):
-        net = SopNetwork(Cover.from_strings(["1--"]))
+        net = Netlist.from_cover(Cover.from_strings(["1--"]))
         t = Transition((1, 0, 0), (1, 1, 1))
         assert classify_network(net, t) == W.S1
 
@@ -154,7 +155,7 @@ class TestNetworkClassification:
         t = Transition(a, b)
         off = complement(cover)
         assume(function_hazard_free_brute(t, cover, off))
-        assert has_logic_hazard(SopNetwork(cover), t) != lemma_hazard_free(cover, t)
+        assert has_logic_hazard(Netlist.from_cover(cover), t) != lemma_hazard_free(cover, t)
 
     @settings(
         max_examples=30,
@@ -219,6 +220,6 @@ class TestNetworkClassification:
         t = Transition(a, b)
         off = complement(cover)
         assume(function_hazard_free_brute(t, cover, off))
-        net = SopNetwork(cover)
+        net = Netlist.from_cover(cover)
         if find_glitch(net, t, trials=150, seed=5) is not None:
             assert has_logic_hazard(net, t)

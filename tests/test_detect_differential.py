@@ -52,7 +52,8 @@ from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import espresso_hf
 from repro.proptest.database import bundle_on_failure
 from repro.proptest.strategies import covers, instances, solvable_instances
-from repro.simulate import SopNetwork, find_glitch
+from repro.detect.netlist import Netlist
+from repro.simulate import find_glitch
 
 EXHAUSTIVE = DetectOptions(mode="exhaustive")
 
@@ -122,17 +123,17 @@ class TestThreeOracleAgreement:
             (v.transition.start, v.transition.end, v.output): v
             for v in report.verdicts
         }
+        network = Netlist.from_cover(cover)
         for t in inst.transitions:
             for j in range(inst.n_outputs):
-                network = SopNetwork(cover, output=j)
-                if network.evaluate(t.start) != network.evaluate(t.end):
+                if network.evaluate(t.start)[j] != network.evaluate(t.end)[j]:
                     continue  # dynamic for this realization: ternary N/A
                 v = verdict_of[(t.start, t.end, j)]
                 if v.status != STATUS_CLEAN:
                     # unconstrained (DC endpoint) verdicts make no claim
                     # about the realization; flagged ones need no check
                     continue
-                glitch = find_glitch(network, t, trials=50, seed=11)
+                glitch = find_glitch(network, t, trials=50, seed=11, output=j)
                 assert glitch is None, (
                     f"Monte-Carlo glitch on {t} output {j} but the "
                     f"detector said {v.status}"

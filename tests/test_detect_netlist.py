@@ -3,8 +3,8 @@
 Covers the netlist IR (:mod:`repro.detect.netlist`), the ``.net`` text
 format (:mod:`repro.detect.nlformat`), the per-transition detector
 (:mod:`repro.detect.detector`), the CLI subcommands, and the
-construction-time validation added to
-:class:`repro.simulate.network.SopNetwork`.  The worked example
+construction-time validation of
+:meth:`repro.detect.netlist.Netlist.from_cover`.  The worked example
 throughout is the textbook consensus hazard: ``f = ab' + bc`` with ``b``
 flipping while ``a = c = 1`` glitches unless the consensus cube ``ac``
 is held steady.
@@ -106,12 +106,14 @@ class TestNetlistIR:
         netlist = Netlist.from_cover(cover)
         assert netlist.evaluate((0, 0)) == (0,)
         assert netlist.evaluate((1, 1)) == (0,)
+        assert netlist.products(0) == ()
 
     def test_from_cover_tautology_is_const1(self):
         cover = Cover(2, [Cube.from_literals([3, 3])])
         netlist = Netlist.from_cover(cover)
         assert netlist.evaluate((0, 0)) == (1,)
         assert netlist.depth == 0
+        assert netlist.products(0) == ((),)  # the empty product
 
     def test_ternary_controlling_values(self):
         # AND with a controlling 0 is 0 even with an X beside it; OR dual.
@@ -136,6 +138,11 @@ class TestNetlistIR:
         netlist = Netlist(2, gates, [3], name="deep")
         with pytest.raises(NetlistError, match="not two-level"):
             netlist.as_cover()
+        with pytest.raises(NetlistError, match="not two-level"):
+            netlist.products(0)
+        nested = Netlist(2, gates[:3] + [Gate("g2", "or", (0, 2))], [3])
+        with pytest.raises(NetlistError, match="nested OR"):
+            nested.products(0)
 
 
 class TestNetFormat:
@@ -303,30 +310,32 @@ class TestDetector:
         assert bad[0]["witness"]["observed"] == "X"
 
 
-class TestSopNetworkValidation:
-    def test_misfit_cube_raises_line_numbered_error(self):
-        from repro.simulate import SopNetwork
-
+class TestFromCoverValidation:
+    def test_narrow_cube_raises_line_numbered_error(self):
         cover = Cover(3, [Cube.from_literals([2, 1, 3])])
         cover.cubes[0] = Cube.from_literals([2, 1])  # rebuilt by hand, too narrow
-        with pytest.raises(MalformedInstance, match="cover cube 1"):
-            SopNetwork(cover)
+        with pytest.raises(MalformedInstance, match="cover cube 1: 2 input"):
+            Netlist.from_cover(cover)
+
+    def test_wide_cube_raises_line_numbered_error(self):
+        cover = Cover(3, [Cube.from_literals([2, 1, 3]), Cube.from_literals([3, 3, 2])])
+        cover.cubes[1] = Cube.from_literals([2, 1, 3, 3])  # too wide
+        with pytest.raises(
+            MalformedInstance, match="cover cube 2: 4 input literals do not fit a 3-input"
+        ):
+            Netlist.from_cover(cover)
 
     def test_wrong_width_inputs_raise(self):
-        from repro.simulate import SopNetwork
-
-        net = SopNetwork(plain_cover())
-        with pytest.raises(MalformedInstance, match="expects 3"):
+        net = Netlist.from_cover(plain_cover())
+        with pytest.raises(MalformedInstance, match="expected 3"):
             net.evaluate((1, 0))
-        with pytest.raises(MalformedInstance, match="expects 3"):
+        with pytest.raises(MalformedInstance, match="expected 3"):
             net.evaluate_ternary((1, 0, None, 1))
 
     def test_valid_cover_still_works(self):
-        from repro.simulate import SopNetwork
-
-        net = SopNetwork(fixed_cover())
-        assert net.evaluate((1, 0, 1)) == 1
-        assert net.evaluate_ternary((1, None, 1)) == 1
+        net = Netlist.from_cover(fixed_cover())
+        assert net.evaluate((1, 0, 1)) == (1,)
+        assert net.evaluate_ternary((1, None, 1)) == (1,)
 
 
 class TestCliSubcommands:

@@ -13,7 +13,8 @@ from repro.hazards import hazard_free_solution_exists
 from repro.hazards.verify import is_hazard_free_cover, verify_hazard_free_cover
 from repro.hf import espresso_hf, espresso_hf_per_output
 from repro.pla import read_pla, write_pla
-from repro.simulate import SopNetwork, find_glitch, has_static_hazard_ternary
+from repro.detect.netlist import Netlist
+from repro.simulate import find_glitch, has_static_hazard_ternary
 from repro.hazards.transitions import TransitionKind
 
 
@@ -38,19 +39,19 @@ class TestSpecToSiliconPipeline:
 
     def test_every_output_simulates_clean(self, pipeline):
         instance, result = pipeline
+        network = Netlist.from_cover(result.cover)
         for j in range(instance.n_outputs):
-            network = SopNetwork(result.cover, output=j)
             for t in instance.transitions:
-                assert find_glitch(network, t, trials=50, seed=j) is None
+                assert find_glitch(network, t, trials=50, seed=j, output=j) is None
 
     def test_static_transitions_pass_ternary(self, pipeline):
         instance, result = pipeline
+        network = Netlist.from_cover(result.cover)
         for j in range(instance.n_outputs):
-            network = SopNetwork(result.cover, output=j)
             for t in instance.transitions:
                 kind = instance.kind(t, j)
                 if kind in (TransitionKind.STATIC_ONE, TransitionKind.STATIC_ZERO):
-                    assert not has_static_hazard_ternary(network, t)
+                    assert not has_static_hazard_ternary(network, t, output=j)
 
     def test_exact_agrees_on_this_controller(self, pipeline):
         instance, result = pipeline

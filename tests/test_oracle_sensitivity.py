@@ -20,7 +20,8 @@ from repro.hf import espresso_hf
 from repro.cubes.cube import LITERAL_DC
 from repro.cubes.cover import Cover
 from repro.proptest.strategies import seeded_instance
-from repro.simulate import SopNetwork, find_glitch, has_static_hazard_ternary
+from repro.detect.netlist import Netlist
+from repro.simulate import find_glitch, has_static_hazard_ternary
 from repro.simulate.algebra import cover_hazard_free_by_algebra
 
 #: 0-15 for breadth; 73 is the first seed whose minimized cover has a
@@ -129,23 +130,25 @@ class TestSimulatorSensitivity:
             for idx in range(len(cover)):
                 dropped = cover[idx]
                 mutant = _without(cover, idx)
+                good = Netlist.from_cover(cover)
+                bad = Netlist.from_cover(mutant)
                 for j in range(inst.n_outputs):
                     if not dropped.has_output(j):
                         continue
-                    good = SopNetwork(cover, output=j)
-                    bad = SopNetwork(mutant, output=j)
                     for t in inst.transitions:
                         checked += 1
-                        s_good = good.evaluate(t.start), good.evaluate(t.end)
-                        s_bad = bad.evaluate(t.start), bad.evaluate(t.end)
+                        s_good = good.evaluate(t.start)[j], good.evaluate(t.end)[j]
+                        s_bad = bad.evaluate(t.start)[j], bad.evaluate(t.end)[j]
                         if s_good != s_bad:
                             eval_hits += 1
                             continue
                         if s_bad[0] != s_bad[1]:
                             continue  # dynamic transition: ternary N/A
-                        if has_static_hazard_ternary(bad, t):
+                        if has_static_hazard_ternary(bad, t, output=j):
                             ternary_hits += 1
-                            glitch = find_glitch(bad, t, trials=100, seed=3)
+                            glitch = find_glitch(
+                                bad, t, trials=100, seed=3, output=j
+                            )
                             assert glitch is not None, (
                                 f"{inst.name}: ternary X on {t} but no "
                                 "Monte-Carlo glitch"
@@ -183,21 +186,25 @@ class TestSimulatorSensitivity:
         assert consensus, "cover must hold the ac consensus cube steady"
         mutant = _without(cover, consensus[0])
         assert verify_hazard_free_cover(inst, mutant)
-        bad = SopNetwork(mutant, output=0)
-        assert bad.evaluate(t.start) == 1 and bad.evaluate(t.end) == 1
+        bad = Netlist.from_cover(mutant)
+        assert bad.evaluate(t.start) == (1,) and bad.evaluate(t.end) == (1,)
         assert has_static_hazard_ternary(bad, t)
         assert find_glitch(bad, t, trials=100, seed=3) is not None
 
     def test_clean_covers_never_glitch(self):
         """Control: the unmutated covers pass both simulators."""
         for inst, cover in CORPUS:
+            network = Netlist.from_cover(cover)
             for j in range(inst.n_outputs):
-                network = SopNetwork(cover, output=j)
                 for t in inst.transitions:
-                    v0, v1 = network.evaluate(t.start), network.evaluate(t.end)
+                    v0 = network.evaluate(t.start)[j]
+                    v1 = network.evaluate(t.end)[j]
                     if v0 == v1:
-                        assert not has_static_hazard_ternary(network, t)
-                    assert find_glitch(network, t, trials=40, seed=7) is None
+                        assert not has_static_hazard_ternary(network, t, output=j)
+                    assert (
+                        find_glitch(network, t, trials=40, seed=7, output=j)
+                        is None
+                    )
 
 
 class TestDetectorSensitivity:
@@ -265,6 +272,7 @@ class TestDetectorSensitivity:
                 DetectOptions(mode="exhaustive"),
             )
             recovered = mutated.as_cover()
+            network = Netlist.from_cover(recovered)
             if not report.hazard_free:
                 assert verify_hazard_free_cover(inst, recovered), (
                     f"{inst.name}+{kind}@{seed}: detector flagged but the "
@@ -281,11 +289,11 @@ class TestDetectorSensitivity:
                     for j in range(inst.n_outputs):
                         if (t.start, t.end, j) not in clean:
                             continue
-                        network = SopNetwork(recovered, output=j)
-                        if network.evaluate(t.start) != network.evaluate(t.end):
+                        if network.evaluate(t.start)[j] != network.evaluate(t.end)[j]:
                             continue
                         assert (
-                            find_glitch(network, t, trials=40, seed=5) is None
+                            find_glitch(network, t, trials=40, seed=5, output=j)
+                            is None
                         ), f"{inst.name}+{kind}@{seed}: ternary-invisible glitch"
         assert agreements >= 3
 

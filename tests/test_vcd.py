@@ -2,7 +2,8 @@
 
 from repro.cubes import Cover
 from repro.hazards import Transition
-from repro.simulate import SopNetwork, find_glitch, waveform_to_vcd, trace_to_vcd
+from repro.detect.netlist import Netlist
+from repro.simulate import find_glitch, waveform_to_vcd, trace_to_vcd
 from repro.simulate.vcd import _identifier, write_vcd
 
 
@@ -48,7 +49,7 @@ class TestTraceExport:
 
     def test_glitch_report_roundtrip(self):
         """A real glitch report renders into a parseable VCD."""
-        net = SopNetwork(Cover.from_strings(["11-", "0-1"]))
+        net = Netlist.from_cover(Cover.from_strings(["11-", "0-1"]))
         t = Transition((1, 1, 1), (0, 1, 1))
         report = find_glitch(net, t, trials=300)
         assert report is not None
