@@ -5,7 +5,7 @@ Runs the benchmark suite with :func:`bench_hf.run_suite` (identical
 machinery to the baseline writer) and diffs the fresh snapshot against
 ``BENCH_espresso_hf.json`` using the noise-aware rules in
 :mod:`repro.obs.regress`: relative slack plus absolute floors on the
-suite-total / per-circuit / per-phase / operator-exclusive times,
+suite-total / per-circuit / per-phase / summed per-pass times,
 zero-tolerance on cover-size and literal-count drift, status degradations
 fail, new or missing circuits warn.  Exit code 0 means no regression;
 1 means at least one ``FAIL`` row in the delta table.

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.guard.errors import BudgetExceeded
+from repro.pipeline.hooks import Hook
 
 
 @dataclass
@@ -119,7 +120,7 @@ class RunBudget:
         raise BudgetExceeded(reason, phase)
 
 
-class BudgetChargeHook:
+class BudgetChargeHook(Hook):
     """Pipeline hook charging the run budget (see :mod:`repro.pipeline`).
 
     One iteration is charged per *charged fixed-point round* — the inner
@@ -130,16 +131,7 @@ class BudgetChargeHook:
     loop-level accounting.  States without a budget are no-ops.
     """
 
-    def pass_started(self, step, state) -> None:
-        pass
-
-    def pass_finished(self, step, state, seconds: float) -> None:
-        pass
-
     def round_finished(self, fixed_point, state) -> None:
         budget = state.budget
         if budget is not None:
             budget.charge_iteration(fixed_point.name)
-
-    def fixed_point_finished(self, fixed_point, state, rounds: int) -> None:
-        pass

@@ -40,6 +40,7 @@ from typing import List, Sequence
 
 from repro.guard.errors import InvariantViolation
 from repro.hazards.verify import verify_hazard_free_cover
+from repro.pipeline.hooks import Hook
 
 
 def scalar_coverage_mask(cube, reqs: Sequence, positions: Sequence[int]) -> int:
@@ -128,7 +129,7 @@ def check_final(ctx, instance, cover, phase: str = "final") -> None:
         raise InvariantViolation(phase, [str(v) for v in failures])
 
 
-class InvariantCheckHook:
+class InvariantCheckHook(Hook):
     """Pipeline hook running :func:`check_phase` after each checked pass.
 
     Active only when the state carries a checked-mode context
@@ -137,11 +138,8 @@ class InvariantCheckHook:
     ``check_reqs(state)`` for the required cubes they must keep covering —
     a step without ``check_reqs`` is skipped, since the Theorem 2.11
     conditions are only meaningful against a required-cube set.  See
-    :mod:`repro.pipeline` for the hook protocol.
+    :mod:`repro.pipeline.hooks` for the hook protocol.
     """
-
-    def pass_started(self, step, state) -> None:
-        pass
 
     def pass_finished(self, step, state, seconds: float) -> None:
         ctx = state.ctx
@@ -154,9 +152,3 @@ class InvariantCheckHook:
             step.check_cubes(state) if step.check_cubes is not None else state.f
         )
         check_phase(ctx, step.name, cubes, reqs)
-
-    def round_finished(self, fixed_point, state) -> None:
-        pass
-
-    def fixed_point_finished(self, fixed_point, state, rounds: int) -> None:
-        pass

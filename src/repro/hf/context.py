@@ -385,75 +385,31 @@ class HFContext:
         """Batch entry point for :meth:`supercube_dhf_bits`.
 
         ``pairs`` is a sequence of ``(r bits, outbits)`` probes — typically
-        the outstanding partners of one escape row.  Memoized probes are
-        answered immediately (counted at probe time, not lump-summed);
-        the rest are grouped by output set so each group shares one
-        concatenated seed-level OFF-set check.  The fixpoint only ever
-        raises ``r``, so a seed that already meets an OFF cube of its
-        output set can never be repaired — those probes are answered
-        ``None`` (and memoized) by the SWAR pass alone, without building a
-        fixpoint environment.  Only the survivors run the real
-        forced-expansion fixpoint, which populates the chain cache per
-        block as usual.  Results align with ``pairs``.
+        the outstanding partners of one escape row.  Probes already in the
+        memo table when the batch arrives are answered first and counted
+        at probe time (``escape_probe_hits``, not lump-summed); the rest
+        run :meth:`supercube_dhf_bits` in order.  No seed-level OFF-set
+        check is needed here: essentials probes only partners left in an
+        escape row (:meth:`escape_filter_rows`), whose seeds already
+        cleared it.  Results align with ``pairs``.
         """
         perf = self.perf
         cache = self._supercube_cache
-        results: List[Optional[int]] = [None] * len(pairs)
-        groups: Dict[int, List[int]] = {}
-        for i, (r, ob) in enumerate(pairs):
-            cached = cache.get((r, ob), _MISSING)
-            if cached is not _MISSING:
+        results: List[Optional[int]] = []
+        misses: List[int] = []
+        for i, key in enumerate(pairs):
+            cached = cache.get(key, _MISSING)
+            if cached is _MISSING:
+                misses.append(i)
+                cached = None
+            else:
                 perf.supercube_calls += 1
                 perf.supercube_cache_hits += 1
                 perf.escape_probe_hits += 1
-                results[i] = cached
-            else:
-                groups.setdefault(ob, []).append(i)
-        for ob, idxs in groups.items():
-            if len(idxs) > 1:
-                infeasible = self._seed_infeasible_batch(
-                    [pairs[i][0] for i in idxs], ob
-                )
-                survivors = []
-                for k, i in enumerate(idxs):
-                    if (infeasible >> k) & 1:
-                        cache[(pairs[i][0], ob)] = None
-                        perf.escape_swar_filtered += 1
-                    else:
-                        survivors.append(i)
-            else:
-                survivors = idxs
-            for i in survivors:
-                results[i] = self.supercube_dhf_bits(pairs[i][0], ob)
+            results.append(cached)
+        for i in misses:
+            results[i] = self.supercube_dhf_bits(*pairs[i])
         return results
-
-    def _seed_infeasible_batch(self, rs: Sequence[int], outbits: int) -> int:
-        """Bit ``k`` set iff seed ``rs[k]`` meets an OFF cube of ``outbits``.
-
-        One SWAR pass per OFF cube over all seeds at once: the seeds are
-        concatenated block-wise, the OFF cube replicated with one multiply,
-        and non-empty meets flagged carry-free.  A flagged seed's
-        ``supercube_dhf_bits`` is provably ``None`` (growth never repairs
-        an OFF meet), so callers can memoize without running the fixpoint.
-        """
-        W = self._block_width
-        cat = 0
-        for i, r in enumerate(rs):
-            cat |= r << (W * i)
-        rep, low, hi, m01cat = self._rep_env(len(rs))
-        flags = 0
-        for obits in self._off_bits(outbits):
-            meet = cat & obits * rep
-            t = ~(meet | (meet >> 1)) & m01cat
-            flags |= hi & ~(t + low)
-            if flags == hi:
-                break
-        mask = 0
-        while flags:
-            b = flags & -flags
-            flags ^= b
-            mask |= 1 << ((b.bit_length() - 1) // W)
-        return mask
 
     def escape_filter_rows(
         self, entries: Sequence[Tuple[int, int, int]]

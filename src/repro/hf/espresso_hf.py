@@ -26,13 +26,15 @@ The algorithm is expressed as a pipeline spec executed by
     canonicalize → essentials → [reduce, expand, irredundant]* →
     last_gasp → make_prime → final_irredundant
 
-Every cross-cutting concern — per-pass timing into ``phase_seconds``,
+The manager times every pass once into ``phase_seconds`` — the only
+pipeline clock; the operators carry no timers of their own — and applies
+every other cross-cutting concern through its hook stack:
 :class:`~repro.guard.budget.RunBudget` iteration charging, best-verified
 snapshot capture, checked-mode :func:`~repro.guard.invariants.check_phase`
-checkpoints, and trace emission — is applied by the manager's hook stack,
-not hand-threaded through the driver.  :func:`build_hf_pipeline` builds the
-spec from the options; ``EspressoHFOptions.passes`` (CLI ``--pipeline``)
-skips or reorders the optional stages.
+checkpoints, and trace emission.  None of it is hand-threaded through the
+driver.  :func:`build_hf_pipeline` builds the spec from the options;
+``EspressoHFOptions.passes`` (CLI ``--pipeline``) skips or reorders the
+optional stages.
 
 The minimizer is heuristic *only in cover cardinality*: the result is
 always a hazard-free cover.  The guarded runtime (:mod:`repro.guard`)

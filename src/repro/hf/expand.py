@@ -50,24 +50,23 @@ def expand_cover(
     list is never larger than the input and always covers at least the same
     required cubes.
     """
-    with ctx.perf.op_timer("expand"):
-        cov = ctx.coverage
-        cov.register(reqs)
-        sel = cov.selection_mask(reqs)
-        candidates = required_candidates(reqs, ctx)
-        slots: List[Optional[Cube]] = list(cubes)
-        order = sorted(
-            range(len(slots)),
-            key=lambda i: (slots[i].num_dc(), slots[i].inbits, slots[i].outbits),
+    cov = ctx.coverage
+    cov.register(reqs)
+    sel = cov.selection_mask(reqs)
+    candidates = required_candidates(reqs, ctx)
+    slots: List[Optional[Cube]] = list(cubes)
+    order = sorted(
+        range(len(slots)),
+        key=lambda i: (slots[i].num_dc(), slots[i].inbits, slots[i].outbits),
+    )
+    for idx in order:
+        if slots[idx] is None:
+            continue
+        ctx.checkpoint("expand")
+        slots[idx] = expand_one(
+            slots[idx], idx, slots, reqs, ctx, sel, candidates
         )
-        for idx in order:
-            if slots[idx] is None:
-                continue
-            ctx.checkpoint("expand")
-            slots[idx] = expand_one(
-                slots[idx], idx, slots, reqs, ctx, sel, candidates
-            )
-        return [c for c in slots if c is not None]
+    return [c for c in slots if c is not None]
 
 
 def _transpose_slots(slots: Sequence[Optional[Cube]], ctx: HFContext):

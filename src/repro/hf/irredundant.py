@@ -35,49 +35,48 @@ def irredundant_cover(
     """
     if not reqs:
         return []
-    with ctx.perf.op_timer("irredundant"):
-        ctx.checkpoint("irredundant")
-        cov = ctx.coverage
-        positions = cov.positions(reqs)
-        sel = cov.selection_mask(reqs)
-        # Transpose cube coverage masks into covering rows: row ``pos`` lists
-        # the cover cubes (columns) whose mask has bit ``pos`` set.  Column
-        # indices come out ascending because the outer loop is ascending.
-        cols_by_pos: Dict[int, List[int]] = {}
-        for j, c in enumerate(cubes):
-            mask = cov.covered_bits(c.inbits, c.outbits) & sel
-            while mask:
-                low = mask & -mask
-                cols_by_pos.setdefault(low.bit_length() - 1, []).append(j)
-                mask ^= low
-        rows = []
-        for q, pos in zip(reqs, positions):
-            cols = cols_by_pos.get(pos)
-            if not cols:
-                raise AssertionError(
-                    f"cover invariant broken: required cube {q} uncovered"
-                )
-            rows.append(cols)
-        perf = ctx.perf
-        perf.mincov_problems += 1
-        perf.mincov_rows += len(rows)
-        # Fast path: columns demanded by a singleton row are in every
-        # feasible solution; if they alone cover all rows, they are the
-        # unique minimum and MINCOV has nothing to decide.
-        forced = {cols[0] for cols in rows if len(cols) == 1}
-        if forced and all(forced.intersection(cols) for cols in rows):
-            return [cubes[j] for j in sorted(forced)]
-        stats: Dict[str, int] = {}
-        chosen = solve_mincov(
-            rows,
-            len(cubes),
-            heuristic=not exact,
-            node_limit=node_limit,
-            stats=stats,
-        )
-        perf.mincov_nodes += stats.get("nodes", 0)
-        assert chosen is not None
-        return [cubes[j] for j in sorted(chosen)]
+    ctx.checkpoint("irredundant")
+    cov = ctx.coverage
+    positions = cov.positions(reqs)
+    sel = cov.selection_mask(reqs)
+    # Transpose cube coverage masks into covering rows: row ``pos`` lists
+    # the cover cubes (columns) whose mask has bit ``pos`` set.  Column
+    # indices come out ascending because the outer loop is ascending.
+    cols_by_pos: Dict[int, List[int]] = {}
+    for j, c in enumerate(cubes):
+        mask = cov.covered_bits(c.inbits, c.outbits) & sel
+        while mask:
+            low = mask & -mask
+            cols_by_pos.setdefault(low.bit_length() - 1, []).append(j)
+            mask ^= low
+    rows = []
+    for q, pos in zip(reqs, positions):
+        cols = cols_by_pos.get(pos)
+        if not cols:
+            raise AssertionError(
+                f"cover invariant broken: required cube {q} uncovered"
+            )
+        rows.append(cols)
+    perf = ctx.perf
+    perf.mincov_problems += 1
+    perf.mincov_rows += len(rows)
+    # Fast path: columns demanded by a singleton row are in every
+    # feasible solution; if they alone cover all rows, they are the
+    # unique minimum and MINCOV has nothing to decide.
+    forced = {cols[0] for cols in rows if len(cols) == 1}
+    if forced and all(forced.intersection(cols) for cols in rows):
+        return [cubes[j] for j in sorted(forced)]
+    stats: Dict[str, int] = {}
+    chosen = solve_mincov(
+        rows,
+        len(cubes),
+        heuristic=not exact,
+        node_limit=node_limit,
+        stats=stats,
+    )
+    perf.mincov_nodes += stats.get("nodes", 0)
+    assert chosen is not None
+    return [cubes[j] for j in sorted(chosen)]
 
 
 class IrredundantPass:

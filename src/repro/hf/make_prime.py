@@ -54,17 +54,16 @@ def make_dhf_prime(cube: Cube, ctx: HFContext) -> Cube:
 
 def make_cover_dhf_prime(cubes: List[Cube], ctx: HFContext) -> List[Cube]:
     """Apply :func:`make_dhf_prime` to a whole cover, deduplicating."""
-    with ctx.perf.op_timer("make_prime"):
-        seen = set()
-        out: List[Cube] = []
-        for c in cubes:
-            ctx.checkpoint("make_prime")
-            p = make_dhf_prime(c, ctx)
-            key = (p.inbits, p.outbits)
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return out
+    seen = set()
+    out: List[Cube] = []
+    for c in cubes:
+        ctx.checkpoint("make_prime")
+        p = make_dhf_prime(c, ctx)
+        key = (p.inbits, p.outbits)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 
 class MakePrimePass:

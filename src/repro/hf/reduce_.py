@@ -44,56 +44,55 @@ def reduce_cover(
     redundant).  Coverage counts are updated after each reduction so later
     cubes see the already-reduced cover, as in Espresso.
     """
-    with ctx.perf.op_timer("reduce"):
-        cov = ctx.coverage
-        positions = cov.positions(reqs)
-        sel = cov.selection_mask(reqs)
-        req_at = {pos: q for pos, q in zip(positions, reqs)}
-        masks = [cov.covered_bits(c.inbits, c.outbits) & sel for c in cubes]
-        counts = _coverage_counts(masks, positions)
-        order = sorted(
-            range(len(cubes)),
-            key=lambda i: (-cubes[i].num_dc(), cubes[i].inbits, cubes[i].outbits),
-        )
-        slots: List[Cube] = list(cubes)
-        kept: List[bool] = [True] * len(cubes)
-        for idx in order:
-            ctx.checkpoint("reduce")
-            covered = masks[idx]
-            unique: List[TaggedRequired] = []
-            outbits = 0
+    cov = ctx.coverage
+    positions = cov.positions(reqs)
+    sel = cov.selection_mask(reqs)
+    req_at = {pos: q for pos, q in zip(positions, reqs)}
+    masks = [cov.covered_bits(c.inbits, c.outbits) & sel for c in cubes]
+    counts = _coverage_counts(masks, positions)
+    order = sorted(
+        range(len(cubes)),
+        key=lambda i: (-cubes[i].num_dc(), cubes[i].inbits, cubes[i].outbits),
+    )
+    slots: List[Cube] = list(cubes)
+    kept: List[bool] = [True] * len(cubes)
+    for idx in order:
+        ctx.checkpoint("reduce")
+        covered = masks[idx]
+        unique: List[TaggedRequired] = []
+        outbits = 0
+        m = covered
+        while m:
+            low = m & -m
+            pos = low.bit_length() - 1
+            if counts[pos] == 1:
+                q = req_at[pos]
+                unique.append(q)
+                outbits |= 1 << q.output
+            m ^= low
+        if not unique:
+            kept[idx] = False
             m = covered
             while m:
                 low = m & -m
-                pos = low.bit_length() - 1
-                if counts[pos] == 1:
-                    q = req_at[pos]
-                    unique.append(q)
-                    outbits |= 1 << q.output
-                m ^= low
-            if not unique:
-                kept[idx] = False
-                m = covered
-                while m:
-                    low = m & -m
-                    counts[low.bit_length() - 1] -= 1
-                    m ^= low
-                continue
-            r_bits = 0
-            for q in unique:
-                r_bits |= q.canonical.inbits
-            sup_in = ctx.supercube_dhf_bits(r_bits, outbits)
-            assert sup_in is not None, "reduction inside a dhf-implicant must exist"
-            reduced = Cube(ctx.n_inputs, sup_in, outbits, ctx.n_outputs)
-            slots[idx] = reduced
-            reduced_mask = cov.covered_bits(sup_in, outbits) & sel
-            masks[idx] = reduced_mask
-            dropped = covered & ~reduced_mask
-            while dropped:
-                low = dropped & -dropped
                 counts[low.bit_length() - 1] -= 1
-                dropped ^= low
-        return [c for i, c in enumerate(slots) if kept[i]]
+                m ^= low
+            continue
+        r_bits = 0
+        for q in unique:
+            r_bits |= q.canonical.inbits
+        sup_in = ctx.supercube_dhf_bits(r_bits, outbits)
+        assert sup_in is not None, "reduction inside a dhf-implicant must exist"
+        reduced = Cube(ctx.n_inputs, sup_in, outbits, ctx.n_outputs)
+        slots[idx] = reduced
+        reduced_mask = cov.covered_bits(sup_in, outbits) & sel
+        masks[idx] = reduced_mask
+        dropped = covered & ~reduced_mask
+        while dropped:
+            low = dropped & -dropped
+            counts[low.bit_length() - 1] -= 1
+            dropped ^= low
+    return [c for i, c in enumerate(slots) if kept[i]]
 
 
 class ReducePass:

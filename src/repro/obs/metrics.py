@@ -275,9 +275,8 @@ def publish_result_metrics(
     * ``<prefix>.<counter>`` — every monotone :class:`~repro.perf.PerfCounters`
       field (the coverage engine and MINCOV publish through these);
     * ``<prefix>.cover_cubes`` / ``<prefix>.cover_literals`` — quality gauges;
-    * ``<prefix>.pass_seconds`` — histogram over per-pass wall times;
-    * ``<prefix>.op_exclusive_seconds`` — histogram over per-operator
-      exclusive wall times (:attr:`repro.perf.PerfCounters.exclusive_seconds`).
+    * ``<prefix>.pass_seconds`` — histogram over per-pass wall times
+      (``result.phase_seconds``, the pipeline's one clock).
     """
     counters = result.counters
     for field_name in MONOTONE_COUNTER_FIELDS:
@@ -289,9 +288,6 @@ def publish_result_metrics(
     pass_hist = registry.histogram(f"{prefix}.pass_seconds")
     for _phase, seconds in sorted(result.phase_seconds.items()):
         pass_hist.observe(seconds)
-    op_hist = registry.histogram(f"{prefix}.op_exclusive_seconds")
-    for _op, seconds in sorted(counters.exclusive_seconds.items()):
-        op_hist.observe(seconds)
     return registry
 
 

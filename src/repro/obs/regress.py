@@ -5,8 +5,8 @@ committed *baseline* (``BENCH_espresso_hf.json``) and classifies every
 delta as ``ok`` / ``warn`` / ``fail``:
 
 **Time rules** (suite total, per-circuit, suite-wide per-phase, and
-per-circuit operator-exclusive time) use a two-sided noise model — a
-relative *slack* multiplier combined with an *absolute floor*::
+per-circuit summed pass time) use a two-sided noise model — a relative
+*slack* multiplier combined with an *absolute floor*::
 
     fail  iff  current > baseline * slack + floor
 
@@ -15,7 +15,9 @@ uniformly slower); the floor keeps sub-millisecond phases from failing the
 gate on scheduler jitter — a 0.4 ms phase doubling to 0.8 ms is noise, a
 400 ms phase doubling is a regression.  Per-circuit times use the *median*
 of the recorded repeat times (``times_s``) rather than the best-of, which
-is far more stable under transient load.
+is far more stable under transient load.  The per-circuit ``op`` rule
+sums the row's ``phase_seconds``: the pass manager's one record per pass,
+the same clock on both sides.
 
 **Quality rules** are exact: any increase in a circuit's cover size
 (``num_cubes``) or literal count (``num_literals``) fails — the minimizer
@@ -154,12 +156,12 @@ def circuit_time_s(row: Dict[str, Any]) -> Optional[float]:
     return None if t is None else float(t)
 
 
-def _op_exclusive_total(row: Dict[str, Any]) -> Optional[float]:
-    counters = row.get("counters") or {}
-    exclusive = counters.get("exclusive_seconds")
-    if not exclusive:
+def _pass_time_total(row: Dict[str, Any]) -> Optional[float]:
+    """A circuit row's summed per-pass wall time (``None`` if unrecorded)."""
+    phases = row.get("phase_seconds")
+    if not phases:
         return None
-    return float(sum(exclusive.values()))
+    return float(sum(phases.values()))
 
 
 def compare_snapshots(
@@ -170,7 +172,7 @@ def compare_snapshots(
     """Diff two ``bench_hf`` snapshots into a :class:`GateReport`.
 
     Applies, in order: the suite-total time rule, suite-wide per-phase
-    time rules, then per-circuit status / quality / time / op-time rules,
+    time rules, then per-circuit status / quality / time / pass-time rules,
     and finally the coverage warnings for added or missing circuits.
     """
     th = thresholds or GateThresholds()
@@ -283,7 +285,7 @@ def compare_snapshots(
                 )
             )
 
-        b_op, c_op = _op_exclusive_total(b_row), _op_exclusive_total(c_row)
+        b_op, c_op = _pass_time_total(b_row), _pass_time_total(c_row)
         if b_op is not None and c_op is not None:
             deltas.append(
                 Delta(
@@ -296,7 +298,7 @@ def compare_snapshots(
                         if th.exceeded(b_op, c_op, th.op_floor_s)
                         else "ok"
                     ),
-                    note="operator exclusive time",
+                    note="summed pass time",
                 )
             )
 

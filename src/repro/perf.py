@@ -2,11 +2,15 @@
 
 Every :class:`repro.hf.context.HFContext` owns a :class:`PerfCounters`
 instance; the hot-path primitives (``supercube_dhf_bits``, the coverage
-bitmask cache, the MINCOV solver) bump counters as they run, and the
-operator entry points record wall time under their own name.  The final
+bitmask cache, the MINCOV solver) bump counters as they run.  The final
 snapshot travels on :class:`repro.hf.result.HFResult` and into the
 benchmark JSON (``scripts/bench_hf.py``), so performance regressions show
 up as numbers, not vibes.
+
+:class:`PerfCounters` holds counters only.  Wall time has one clock: the
+:class:`~repro.pipeline.manager.PassManager` times each pass once into
+``HFResult.phase_seconds``, and every timing view (reports, metrics, the
+regression gate) is read from there.
 
 All counters are plain integers updated inline — the bookkeeping must cost
 (almost) nothing on the path it measures.
@@ -14,15 +18,13 @@ All counters are plain integers updated inline — the bookkeeping must cost
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from dataclasses import dataclass, fields
+from typing import Dict, List
 
 
 @dataclass
 class PerfCounters:
-    """Counters and wall-time breakdown for one Espresso-HF run.
+    """Counters for one Espresso-HF run.
 
     Attributes
     ----------
@@ -55,9 +57,6 @@ class PerfCounters:
     escape_rows_built:
         Escape-row prefilter rows constructed by the batched essentials
         engine (one per canonical required cube of the instance).
-    escape_swar_filtered:
-        Pair probes answered by the SWAR seed-level OFF-set filter alone —
-        each is a ``supercube_dhf`` fixpoint that never had to run.
     escape_probe_hits:
         Escape-row probes answered from the supercube memo table.  Counted
         at probe time (the old lump-sum accounting misstated interleaving
@@ -88,21 +87,6 @@ class PerfCounters:
         Cubes of a prior session's cover re-verified against the *new*
         instance with the Theorem 2.11 checker during warm-start planning
         (identical-mode short-circuit and budget-floor seeding).
-    op_seconds:
-        Wall-clock seconds per operator (``expand``, ``reduce``,
-        ``irredundant``, ``last_gasp``, ``essentials``, ``make_prime``).
-        Nested operators double-count on purpose: ``last_gasp`` includes
-        the IRREDUNDANT call it issues.  Summing this dict therefore
-        overstates total operator time — use :attr:`exclusive_seconds`
-        for anything additive.
-    exclusive_seconds:
-        Wall-clock seconds per operator *excluding* time spent in nested
-        operator timers: ``last_gasp`` here counts only its own scanning
-        and candidate generation, not the inner IRREDUNDANT.  Exclusive
-        times of one run partition disjoint wall intervals, so
-        ``sum(exclusive_seconds.values()) <= runtime_s`` always holds
-        (pinned by ``tests/test_perf_exclusive.py``) — this is the view
-        the benchmark regression gate (:mod:`repro.obs.regress`) diffs.
     """
 
     supercube_calls: int = 0
@@ -119,20 +103,12 @@ class PerfCounters:
     crosscheck_divergences: int = 0
     scalar_fallbacks: int = 0
     escape_rows_built: int = 0
-    escape_swar_filtered: int = 0
     escape_probe_hits: int = 0
     essentials_rescans_avoided: int = 0
     essentials_memo_peak: int = 0
     warm_memo_imported: int = 0
     warm_escape_imported: int = 0
     warm_cubes_reverified: int = 0
-    op_seconds: Dict[str, float] = field(default_factory=dict)
-    exclusive_seconds: Dict[str, float] = field(default_factory=dict)
-    #: open-timer stack: [name, start, child_seconds] frames (not state
-    #: that travels — snapshots serialize only the accumulated dicts)
-    _op_stack: List[list] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     @property
     def supercube_hit_rate(self) -> float:
@@ -147,58 +123,20 @@ class PerfCounters:
         total = self.coverage_masks_built + self.coverage_mask_hits
         return self.coverage_mask_hits / total if total else 0.0
 
-    @contextmanager
-    def op_timer(self, name: str) -> Iterator[None]:
-        """Accumulate wall time of the enclosed block under ``name``.
-
-        Total time goes to :attr:`op_seconds` (nested timers double-count
-        by design); time net of nested ``op_timer`` blocks goes to
-        :attr:`exclusive_seconds`.
-        """
-        frame = [name, time.perf_counter(), 0.0]
-        self._op_stack.append(frame)
-        try:
-            yield
-        finally:
-            total = time.perf_counter() - frame[1]
-            self._op_stack.pop()
-            self.op_seconds[name] = self.op_seconds.get(name, 0.0) + total
-            self.exclusive_seconds[name] = (
-                self.exclusive_seconds.get(name, 0.0) + total - frame[2]
-            )
-            if self._op_stack:
-                self._op_stack[-1][2] += total
-
     def merge(self, other: "PerfCounters") -> None:
-        """Fold another run's counters into this one (per-output mode)."""
-        self.supercube_calls += other.supercube_calls
-        self.supercube_cache_hits += other.supercube_cache_hits
-        self.supercube_chain_cached += other.supercube_chain_cached
-        self.expand_probes += other.expand_probes
-        self.coverage_masks_built += other.coverage_masks_built
-        self.coverage_mask_hits += other.coverage_mask_hits
-        self.mincov_problems += other.mincov_problems
-        self.mincov_rows += other.mincov_rows
-        self.mincov_nodes += other.mincov_nodes
-        self.passes_executed += other.passes_executed
-        self.invariant_checks += other.invariant_checks
-        self.crosscheck_divergences += other.crosscheck_divergences
-        self.scalar_fallbacks += other.scalar_fallbacks
-        self.escape_rows_built += other.escape_rows_built
-        self.escape_swar_filtered += other.escape_swar_filtered
-        self.escape_probe_hits += other.escape_probe_hits
-        self.essentials_rescans_avoided += other.essentials_rescans_avoided
-        self.essentials_memo_peak = max(
-            self.essentials_memo_peak, other.essentials_memo_peak
-        )
-        self.warm_memo_imported += other.warm_memo_imported
-        self.warm_escape_imported += other.warm_escape_imported
-        self.warm_cubes_reverified += other.warm_cubes_reverified
-        for name, seconds in other.op_seconds.items():
-            self.op_seconds[name] = self.op_seconds.get(name, 0.0) + seconds
-        for name, seconds in other.exclusive_seconds.items():
-            self.exclusive_seconds[name] = (
-                self.exclusive_seconds.get(name, 0.0) + seconds
+        """Fold another run's counters into this one (per-output mode).
+
+        Every counter sums, except ``essentials_memo_peak``: a peak takes
+        the max.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(
+                self,
+                f.name,
+                max(mine, theirs)
+                if f.name == "essentials_memo_peak"
+                else mine + theirs,
             )
 
     def as_dict(self) -> Dict[str, object]:
@@ -220,17 +158,12 @@ class PerfCounters:
             "crosscheck_divergences": self.crosscheck_divergences,
             "scalar_fallbacks": self.scalar_fallbacks,
             "escape_rows_built": self.escape_rows_built,
-            "escape_swar_filtered": self.escape_swar_filtered,
             "escape_probe_hits": self.escape_probe_hits,
             "essentials_rescans_avoided": self.essentials_rescans_avoided,
             "essentials_memo_peak": self.essentials_memo_peak,
             "warm_memo_imported": self.warm_memo_imported,
             "warm_escape_imported": self.warm_escape_imported,
             "warm_cubes_reverified": self.warm_cubes_reverified,
-            "op_seconds": {k: round(v, 6) for k, v in self.op_seconds.items()},
-            "exclusive_seconds": {
-                k: round(v, 6) for k, v in self.exclusive_seconds.items()
-            },
         }
 
     @classmethod
@@ -241,39 +174,9 @@ class PerfCounters:
         ignored so old snapshots stay loadable.
         """
         counters = cls()
-        for name in (
-            "supercube_calls",
-            "supercube_cache_hits",
-            "supercube_chain_cached",
-            "expand_probes",
-            "coverage_masks_built",
-            "coverage_mask_hits",
-            "mincov_problems",
-            "mincov_rows",
-            "mincov_nodes",
-            "passes_executed",
-            "invariant_checks",
-            "crosscheck_divergences",
-            "scalar_fallbacks",
-            "escape_rows_built",
-            "escape_swar_filtered",
-            "escape_probe_hits",
-            "essentials_rescans_avoided",
-            "essentials_memo_peak",
-            "warm_memo_imported",
-            "warm_escape_imported",
-            "warm_cubes_reverified",
-        ):
-            if name in data:
-                setattr(counters, name, int(data[name]))
-        op_seconds = data.get("op_seconds")
-        if isinstance(op_seconds, dict):
-            counters.op_seconds = {k: float(v) for k, v in op_seconds.items()}
-        exclusive = data.get("exclusive_seconds")
-        if isinstance(exclusive, dict):
-            counters.exclusive_seconds = {
-                k: float(v) for k, v in exclusive.items()
-            }
+        for f in fields(cls):
+            if f.name in data:
+                setattr(counters, f.name, int(data[f.name]))
         return counters
 
     def summary_lines(self) -> List[str]:
@@ -292,7 +195,6 @@ class PerfCounters:
         if self.escape_rows_built:
             lines.append(
                 f"essentials engine: {self.escape_rows_built} escape rows, "
-                f"{self.escape_swar_filtered} probes SWAR-filtered, "
                 f"{self.escape_probe_hits} probe memo hits, "
                 f"{self.essentials_rescans_avoided} rescans avoided "
                 f"(memo peak {self.essentials_memo_peak})"
@@ -309,16 +211,4 @@ class PerfCounters:
                 f"{self.crosscheck_divergences} cross-check divergences, "
                 f"{self.scalar_fallbacks} scalar fallbacks"
             )
-        if self.op_seconds:
-            ops = ", ".join(
-                f"{name}: {seconds:.3f}s"
-                for name, seconds in sorted(self.op_seconds.items())
-            )
-            lines.append(f"operator time: {ops}")
-        if self.exclusive_seconds:
-            ops = ", ".join(
-                f"{name}: {seconds:.3f}s"
-                for name, seconds in sorted(self.exclusive_seconds.items())
-            )
-            lines.append(f"operator time (exclusive): {ops}")
         return lines

@@ -9,9 +9,11 @@ One :class:`PassManager` runs both minimizers:
 * :func:`repro.espresso.espresso` runs the Espresso-II baseline loop on
   the same engine.
 
-The manager applies every cross-cutting concern uniformly around each
-pass: per-pass timing, run-budget charging, best-verified-snapshot
-capture, checked-mode invariant checkpoints, and trace emission.  See
+The manager times each pass itself (one record per pass, in
+``state.phase_seconds``) and applies every other cross-cutting concern
+uniformly around it through its hooks: run-budget charging,
+best-verified-snapshot capture, checked-mode invariant checkpoints, and
+trace emission.  See
 :mod:`repro.pipeline.base` for the spec vocabulary and
 :mod:`repro.pipeline.manager` for execution semantics.
 """
@@ -25,7 +27,7 @@ from repro.pipeline.base import (
     flatten_pass_names,
     map_passes,
 )
-from repro.pipeline.hooks import Hook, SnapshotHook, TimingHook, TraceHook
+from repro.pipeline.hooks import Hook, SnapshotHook, TraceHook
 from repro.pipeline.manager import PassManager, default_hooks
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "PipelineState",
     "SnapshotHook",
     "Step",
-    "TimingHook",
     "TraceHook",
     "default_hooks",
     "flatten_pass_names",

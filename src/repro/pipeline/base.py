@@ -226,8 +226,9 @@ class PipelineState:
     Drivers subclass this and add their own fields (cover, context,
     options).  The manager and the stock hooks rely only on this surface:
 
-    ``phase_seconds``
-        per-pass wall-time accumulator (timing hook);
+    ``phase_seconds`` / ``executed_passes``
+        per-pass wall-time accumulator and dynamic pass sequence, both
+        written by the manager itself after each pass;
     ``trace`` / ``record_pass``
         phase-trace lines (trace hook); HF aliases this to
         ``HFContext.trace`` so guard events interleave correctly;

@@ -1,12 +1,14 @@
-"""Stock cross-cutting hooks applied by the :class:`PassManager`.
+"""The hook protocol of the :class:`PassManager`, and its stock hooks.
 
-A hook observes pipeline execution through four events; every method has a
-no-op default so hooks implement only what they need:
+Every hook subclasses :class:`Hook`.  A hook observes pipeline execution
+through four events; every method has a no-op default so hooks implement
+only what they need:
 
 ``pass_started(step, state)``
     before a pass body runs;
 ``pass_finished(step, state, seconds)``
-    after a pass body returned (``seconds`` is its wall time);
+    after a pass body returned (``seconds`` is its wall time, already
+    added to ``state.phase_seconds`` by the manager);
 ``round_finished(fixed_point, state)``
     after each *charged* round of a :class:`~repro.pipeline.base.FixedPoint`;
 ``fixed_point_finished(fixed_point, state, rounds)``
@@ -19,13 +21,12 @@ Beyond those four, the manager dispatches *extended* structural events —
 ``fixed_point_exited(fixed_point, state, rounds)`` — which are always
 paired (``finally``-dispatched), even when the body stops early or raises.
 They exist for observers that must mirror the pipeline's structure
-exactly, like the span tracer (:class:`repro.obs.hook.ObsHook`).  The
-manager dispatches them defensively (``getattr``), so duck-typed legacy
-hooks that only implement the original four events keep working.
+exactly, like the span tracer (:class:`repro.obs.hook.ObsHook`).
 
-The hooks here are engine-agnostic (timing, snapshots, trace).  The
-guarded-runtime hooks — budget charging and checked-mode invariants — live
-with the policies they apply: :class:`repro.guard.budget.BudgetChargeHook`
+Pass timing is not a hook: the manager records each pass's seconds once
+(see :mod:`repro.pipeline.manager`).  The hooks here are engine-agnostic
+(snapshots, trace).  The guarded-runtime hooks — budget charging and
+checked-mode invariants — live with the policies they apply: :class:`repro.guard.budget.BudgetChargeHook`
 and :class:`repro.guard.invariants.InvariantCheckHook`.  The span-tracing
 hook lives with the observability layer: :class:`repro.obs.hook.ObsHook`.
 """
@@ -69,24 +70,6 @@ class Hook:
         self, fixed_point: FixedPoint, state: Any, rounds: int
     ) -> None:
         pass
-
-
-class TimingHook(Hook):
-    """Accumulate per-pass wall time into ``state.phase_seconds``.
-
-    Also maintains ``state.executed_passes`` (the dynamic pass sequence,
-    asserted by the golden-pipeline test) and the ``passes_executed``
-    counter on the context's :class:`~repro.perf.PerfCounters` when one is
-    attached.
-    """
-
-    def pass_finished(self, step: Step, state: Any, seconds: float) -> None:
-        name = step.name
-        state.phase_seconds[name] = state.phase_seconds.get(name, 0.0) + seconds
-        state.executed_passes.append(name)
-        perf = getattr(state.ctx, "perf", None) if state.ctx is not None else None
-        if perf is not None:
-            perf.passes_executed += 1
 
 
 class SnapshotHook(Hook):

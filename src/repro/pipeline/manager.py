@@ -3,10 +3,15 @@
 :class:`PassManager` executes a declarative pipeline spec (a sequence of
 :class:`~repro.pipeline.base.Step` / :class:`~repro.pipeline.base.Group` /
 :class:`~repro.pipeline.base.FixedPoint` nodes) against a mutable state,
-applying the cross-cutting hooks uniformly around every pass:
+timing every pass itself and applying the cross-cutting hooks uniformly
+around it:
 
-1. **timing** — per-pass ``perf_counter`` wall time into
-   ``state.phase_seconds`` (:class:`~repro.pipeline.hooks.TimingHook`);
+1. **timing** — one ``perf_counter`` pair per pass, recorded by the
+   manager and nowhere else: the seconds go to ``state.phase_seconds``,
+   the pass name to ``state.executed_passes``, and ``passes_executed`` on
+   the context's :class:`~repro.perf.PerfCounters` is bumped; every
+   other timing view (reports, metrics, the regression gate) is read from
+   ``state.phase_seconds``;
 2. **snapshots** — best-verified-cover capture after each pass
    (:class:`~repro.pipeline.hooks.SnapshotHook`);
 3. **trace** — phase-boundary lines
@@ -19,7 +24,7 @@ applying the cross-cutting hooks uniformly around every pass:
 When a tracer is active (:func:`repro.obs.current_tracer`), drivers append
 a sixth, opt-in hook: **spans** — one structured span per pass / group /
 fixed point (:class:`repro.obs.hook.ObsHook`), fed by the extended,
-always-paired structural events this manager dispatches defensively (see
+always-paired structural events this manager dispatches (see
 :mod:`repro.pipeline.hooks`).
 
 Budget exhaustion is handled here, once, instead of in every driver: a
@@ -40,21 +45,21 @@ from typing import Any, List, Optional, Sequence
 
 from repro.guard.errors import BudgetExceeded
 from repro.pipeline.base import FixedPoint, Group, Node, Step
+from repro.pipeline.hooks import Hook, SnapshotHook, TraceHook
 
 
-def default_hooks() -> List[Any]:
+def default_hooks() -> List[Hook]:
     """The standard hook stack, in application order.
 
-    Order matters and mirrors the pre-pipeline drivers: timing first, then
-    snapshot capture (so a later invariant failure still leaves a valid
-    ``best``), trace, invariants, and budget charging last.
+    Order matters and mirrors the pre-pipeline drivers: snapshot capture
+    first (so a later invariant failure still leaves a valid ``best``),
+    then trace, invariants, and budget charging last.  Timing is not a
+    hook: the manager records it before any hook sees the pass.
     """
     from repro.guard.budget import BudgetChargeHook
     from repro.guard.invariants import InvariantCheckHook
-    from repro.pipeline.hooks import SnapshotHook, TimingHook, TraceHook
 
     return [
-        TimingHook(),
         SnapshotHook(),
         TraceHook(),
         InvariantCheckHook(),
@@ -65,7 +70,7 @@ def default_hooks() -> List[Any]:
 class PassManager:
     """Executes a pipeline spec with a uniform hook stack."""
 
-    def __init__(self, hooks: Optional[Sequence[Any]] = None):
+    def __init__(self, hooks: Optional[Sequence[Hook]] = None):
         self.hooks = list(hooks) if hooks is not None else default_hooks()
 
     def run(
@@ -106,20 +111,6 @@ class PassManager:
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self, event: str, *args: Any) -> None:
-        """Dispatch an extended structural event defensively.
-
-        The original four hook events are called unconditionally (every
-        hook implements them); the extended events —
-        ``group_started/finished``, ``fixed_point_started/exited`` — are
-        looked up with ``getattr`` so duck-typed legacy hooks that predate
-        them keep working unchanged.
-        """
-        for hook in self.hooks:
-            fn = getattr(hook, event, None)
-            if fn is not None:
-                fn(*args)
-
     def _run_sequence(self, nodes: Sequence[Node], state: Any) -> None:
         for node in nodes:
             if state.stop:
@@ -128,11 +119,13 @@ class PassManager:
                 self._run_step(node, state)
             elif isinstance(node, Group):
                 if node.enabled is None or node.enabled(state):
-                    self._dispatch("group_started", node, state)
+                    for hook in self.hooks:
+                        hook.group_started(node, state)
                     try:
                         self._run_sequence(node.body, state)
                     finally:
-                        self._dispatch("group_finished", node, state)
+                        for hook in self.hooks:
+                            hook.group_finished(node, state)
             elif isinstance(node, FixedPoint):
                 self._run_fixed_point(node, state)
             else:  # pragma: no cover - spec construction error
@@ -151,6 +144,12 @@ class PassManager:
                 f"pass {step.name!r} returned a new state object; passes "
                 "must mutate and return the state they were given"
             )
+        name = step.name
+        state.phase_seconds[name] = state.phase_seconds.get(name, 0.0) + seconds
+        state.executed_passes.append(name)
+        perf = getattr(state.ctx, "perf", None)
+        if perf is not None:
+            perf.passes_executed += 1
         for hook in self.hooks:
             hook.pass_finished(step, state, seconds)
 
@@ -161,7 +160,8 @@ class PassManager:
         if fp.track_convergence:
             state.converged = False
         rounds = 0
-        self._dispatch("fixed_point_started", fp, state)
+        for hook in self.hooks:
+            hook.fixed_point_started(fp, state)
         try:
             while fp.max_rounds is None or rounds < fp.max_rounds:
                 size_before = measure(state)
@@ -178,7 +178,8 @@ class PassManager:
                         state.converged = True
                     break
         finally:
-            self._dispatch("fixed_point_exited", fp, state, rounds)
+            for hook in self.hooks:
+                hook.fixed_point_exited(fp, state, rounds)
         for hook in self.hooks:
             hook.fixed_point_finished(fp, state, rounds)
         if fp.track_convergence and not state.converged:

@@ -104,7 +104,7 @@ def phase_table(phase_seconds: Dict[str, float]) -> List[str]:
 
     ``phase_seconds`` is an :class:`HFResult`'s per-pass wall-time
     breakdown, keyed by pipeline pass name (accumulated over loop
-    repetitions by the manager's timing hook).
+    repetitions by the pass manager).
     """
     if not phase_seconds:
         return []

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 
 from repro.bm.benchmarks import BENCHMARKS, build_benchmark
+from repro.cubes.cube import mask01
 from repro.hf.context import HFContext
 from repro.hf.essentials import compute_essentials
 from repro.hf.essentials_ref import compute_essentials_reference
@@ -128,6 +129,48 @@ def test_escape_rows_sound(inst):
                 )
                 is None
             )
+
+
+@pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+def test_escape_row_partners_clear_the_pair_off_set(name):
+    """Every pair seed left in an escape row meets no OFF cube of the pair.
+
+    ``supercube_dhf_many`` runs no seed-level OFF check of its own: the
+    essentials engine probes only partners ``s`` left set in ``pp[q]``,
+    and this pins that each such seed ``q_in | s_in`` already clears the
+    OFF cubes of both outputs.  Checked against the instance's own OFF
+    cover, not the context's deduplicated OFF rows.
+    """
+    inst = build_benchmark(name)
+    ctx = HFContext(inst)
+    reqs = ctx.canonical_required()
+    positions = ctx.coverage.positions(reqs)
+    rows = ctx.escape_filter_rows(
+        [
+            (pos, q.canonical.inbits, q.output)
+            for pos, q in zip(positions, reqs)
+        ]
+    )
+    at = dict(zip(positions, reqs))
+    m01 = mask01(inst.n_inputs)
+    off_in = [
+        [c.inbits for c in inst.off_for_output(j)]
+        for j in range(inst.n_outputs)
+    ]
+    probed = 0
+    for pos, row in rows.items():
+        q = at[pos]
+        for pos2, s in at.items():
+            if not (row >> pos2) & 1:
+                continue
+            seed = q.canonical.inbits | s.canonical.inbits
+            for j in {q.output, s.output}:
+                for o in off_in[j]:
+                    meet = seed & o
+                    # an empty meet has some variable with both bits clear
+                    assert ~(meet | (meet >> 1)) & m01, (str(q), str(s), j)
+            probed += 1
+    assert probed >= len(reqs)  # the diagonal alone is always in the rows
 
 
 def test_incremental_fixpoint_counters():

@@ -4,7 +4,7 @@ Everything here runs on hand-built snapshot fixtures — no benchmarking —
 so each rule of :mod:`repro.obs.regress` is pinned in isolation:
 
 * time rules (suite total, per-circuit median-of-repeats, suite-wide
-  per-phase, operator-exclusive) fail iff
+  per-phase, per-circuit summed pass time) fail iff
   ``current > baseline * slack + floor``;
 * the absolute floor suppresses noise on sub-millisecond phases;
 * quality rules (cube / literal counts) and status degradations are
@@ -41,7 +41,7 @@ def _circuit(
     num_cubes=10,
     num_literals=50,
     status="ok",
-    exclusive=None,
+    phases=None,
 ):
     return {
         "name": name,
@@ -50,8 +50,8 @@ def _circuit(
         "num_literals": num_literals,
         "time_s": time_s,
         "times_s": times_s if times_s is not None else [time_s] * 3,
-        "phase_seconds": {},
-        "counters": {"exclusive_seconds": exclusive or {"expand": time_s}},
+        "phase_seconds": phases or {"expand": time_s},
+        "counters": {},
     }
 
 
@@ -141,13 +141,28 @@ class TestTimeRules:
         assert circuit_time_s(row) == 0.3
         assert circuit_time_s({}) is None
 
-    def test_op_exclusive_time_regression_fails(self, baseline):
+    def test_pass_time_regression_fails(self, baseline):
         current = copy.deepcopy(baseline)
-        current["circuits"][0]["counters"]["exclusive_seconds"] = {
-            "expand": 2.0
+        current["circuits"][0]["phase_seconds"] = {"expand": 2.0}
+        report = compare_snapshots(baseline, current)
+        assert _verdicts(report, "op")["alpha"] == "fail"
+        assert _verdicts(report, "op")["beta"] == "ok"
+
+    def test_pass_time_rule_sums_every_pass(self, baseline):
+        # the rule reads the sum over passes: a new pass counts in full
+        current = copy.deepcopy(baseline)
+        current["circuits"][0]["phase_seconds"] = {
+            "expand": 0.2,
+            "reduce": 0.2,
         }
         report = compare_snapshots(baseline, current)
         assert _verdicts(report, "op")["alpha"] == "fail"
+
+    def test_rows_without_pass_times_skip_the_op_rule(self, baseline):
+        current = copy.deepcopy(baseline)
+        current["circuits"][0]["phase_seconds"] = {}
+        report = compare_snapshots(baseline, current)
+        assert "alpha" not in _verdicts(report, "op")
 
     def test_phase_only_on_one_side_warns(self, baseline):
         current = copy.deepcopy(baseline)
@@ -350,7 +365,7 @@ class TestCommittedBaselineLoads:
         assert snap["circuits"], "empty committed baseline"
         for row in snap["circuits"]:
             assert row["times_s"], row["name"]
-            assert row["counters"]["exclusive_seconds"], row["name"]
+            assert row["phase_seconds"], row["name"]
         assert snap["phase_seconds_total"]
 
     def test_committed_baseline_self_gates_clean(self):
@@ -360,6 +375,33 @@ class TestCommittedBaselineLoads:
         )
         report = compare_snapshots(snap, copy.deepcopy(snap))
         assert report.passed and not report.warnings
+        # one per-circuit pass-time delta per committed circuit
+        assert len(_verdicts(report, "op")) == len(snap["circuits"])
+
+    def test_doubled_pass_times_fail_the_op_rule(self):
+        snap = load_snapshot(
+            os.path.join(REPO_ROOT, "BENCH_espresso_hf.json")
+        )
+        current = copy.deepcopy(snap)
+        for row in current["circuits"]:
+            row["phase_seconds"] = {
+                k: 2 * v for k, v in row["phase_seconds"].items()
+            }
+        th = GateThresholds()
+        report = compare_snapshots(snap, current, th)
+        verdicts = _verdicts(report, "op")
+        assert len(verdicts) == len(snap["circuits"])
+        # 2t > slack * t + floor  iff  t > floor / (2 - slack)
+        cutoff = th.op_floor_s / (2 - th.slack)
+        slow = [
+            row["name"]
+            for row in snap["circuits"]
+            if sum(row["phase_seconds"].values()) > cutoff
+        ]
+        assert slow, "no committed circuit above the op floor"
+        for name in slow:
+            assert verdicts[name] == "fail", name
+        assert not report.passed
 
 
 def _load_bench_hf():

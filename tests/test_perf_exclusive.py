@@ -1,158 +1,132 @@
-"""``PerfCounters.exclusive_seconds``: the additive view of operator time.
+"""One clock per pass: ``phase_seconds`` is the pipeline's only timer.
 
-``op_seconds`` double-counts nested operators by design — ``last_gasp``
-includes the IRREDUNDANT call it issues — so summing it overstates total
-operator time.  ``exclusive_seconds`` subtracts time spent inside nested
-``op_timer`` blocks, which makes it a partition of disjoint wall
-intervals: the view the benchmark regression gate diffs
-(:mod:`repro.obs.regress`), and the one with the law this module pins on
-every benchmark circuit::
+The :class:`~repro.pipeline.manager.PassManager` times each pass with one
+``perf_counter`` pair and adds the seconds to ``state.phase_seconds``;
+the operators carry no timers of their own.  Passes run one after
+another, so their times are disjoint slices of the run.  This module pins
+that partition law on every benchmark circuit::
 
-    sum(exclusive_seconds.values()) <= runtime_s
+    sum(result.phase_seconds.values()) <= result.runtime_s
+
+It also holds fixtures for two operator branches that the benchmark
+suite never reaches: LAST_GASP's candidate branch, with its inner
+IRREDUNDANT, and a MINCOV branch-and-bound search (``mincov_nodes``).
+Both use the classic cyclic 3-variable function
+``f = sum m(0, 1, 2, 5, 6, 7)``: each ON minterm is covered by exactly
+two of its six primes, which form a ring, so no prime is forced.
 """
 
-import time
+import json
+import os
 
 import pytest
 
+import repro.hf.lastgasp as lastgasp_module
 from repro.bm.benchmarks import BENCHMARKS, build_benchmark
+from repro.cubes.cover import Cover
+from repro.cubes.cube import Cube
+from repro.hazards.instance import HazardFreeInstance
+from repro.hazards.transitions import Transition
+from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import espresso_hf
+from repro.hf.context import HFContext
+from repro.hf.irredundant import irredundant_cover
+from repro.hf.lastgasp import last_gasp
 from repro.perf import PerfCounters
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _busy(seconds):
-    # sleep() is fine here: op_timer measures wall clock, and sleeping is
-    # far more stable under CI load than spinning.
-    time.sleep(seconds)
+#: the ON minterms of the cyclic function, in ring order
+RING = ["000", "001", "101", "111", "110", "010"]
+#: its six primes; prime i covers minterms i and i + 1 of the ring
+RING_PRIMES = ["00-", "-01", "1-1", "11-", "-10", "0-0"]
 
 
-class TestOpTimerSemantics:
-    def test_flat_timers_match_totals(self):
-        perf = PerfCounters()
-        with perf.op_timer("a"):
-            _busy(0.01)
-        with perf.op_timer("b"):
-            _busy(0.01)
-        assert perf.exclusive_seconds["a"] == pytest.approx(
-            perf.op_seconds["a"]
+def cyclic_instance():
+    """The cyclic function with one static transition per ON minterm.
+
+    Each static transition makes its minterm a required cube, so the
+    covering table of the six primes is the ring: every row has exactly
+    two columns and no column is forced.
+    """
+    on = Cover.from_strings(RING)
+    off = Cover.from_strings(["011", "100"])
+    points = [tuple(int(ch) for ch in m) for m in RING]
+    transitions = [Transition(p, p) for p in points]
+    return HazardFreeInstance(on, off, transitions, name="cyclic")
+
+
+class TestPartitionOnBenchmarks:
+    @pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+    def test_pass_times_bounded_by_runtime(self, name):
+        result = espresso_hf(build_benchmark(name))
+        phases = result.phase_seconds
+        assert phases, name
+        assert all(seconds >= 0.0 for seconds in phases.values()), name
+        # pass times are disjoint slices of the run's wall time
+        assert sum(phases.values()) <= result.runtime_s + 1e-9, name
+        assert result.counters.passes_executed >= len(phases), name
+
+
+class TestCountersOnly:
+    def test_committed_snapshots_with_timing_dicts_still_load(self):
+        # baseline rows written when PerfCounters still held per-operator
+        # time dicts: the counters load, the unknown timing keys are dropped
+        with open(os.path.join(REPO_ROOT, "BENCH_espresso_hf.json")) as fh:
+            rows = json.load(fh)["circuits"]
+        for row in rows:
+            counters = PerfCounters.from_dict(row["counters"])
+            assert counters.supercube_calls == row["counters"]["supercube_calls"]
+            snapshot = counters.as_dict()
+            assert all(isinstance(v, (int, float)) for v in snapshot.values())
+
+    def test_merge_sums_counters_and_keeps_the_memo_peak(self):
+        a = PerfCounters(supercube_calls=2, essentials_memo_peak=7)
+        b = PerfCounters(
+            supercube_calls=3, mincov_nodes=1, essentials_memo_peak=5
         )
-        assert perf.exclusive_seconds["b"] == pytest.approx(
-            perf.op_seconds["b"]
-        )
-
-    def test_nested_timer_total_includes_child_exclusive_does_not(self):
-        perf = PerfCounters()
-        with perf.op_timer("last_gasp"):
-            _busy(0.01)
-            with perf.op_timer("irredundant"):
-                _busy(0.02)
-        # total view double-counts: the outer includes the inner
-        assert perf.op_seconds["last_gasp"] >= 0.03
-        assert perf.op_seconds["irredundant"] >= 0.02
-        # exclusive view does not: the outer keeps only its own 10ms
-        assert perf.exclusive_seconds["last_gasp"] < 0.025
-        assert perf.exclusive_seconds["last_gasp"] >= 0.01
-        assert perf.exclusive_seconds["irredundant"] == pytest.approx(
-            perf.op_seconds["irredundant"]
-        )
-
-    def test_doubly_nested_and_sibling_children(self):
-        perf = PerfCounters()
-        with perf.op_timer("outer"):
-            with perf.op_timer("mid"):
-                with perf.op_timer("inner"):
-                    _busy(0.01)
-            with perf.op_timer("inner"):
-                _busy(0.01)
-        total = sum(perf.exclusive_seconds.values())
-        # exclusive times partition the outer block's wall interval
-        assert total <= perf.op_seconds["outer"] + 1e-6
-        assert perf.exclusive_seconds["inner"] == pytest.approx(
-            perf.op_seconds["inner"]
-        )
-
-    def test_reentrant_same_name_accumulates(self):
-        perf = PerfCounters()
-        for _ in range(3):
-            with perf.op_timer("expand"):
-                _busy(0.002)
-        assert perf.exclusive_seconds["expand"] == pytest.approx(
-            perf.op_seconds["expand"]
-        )
-        assert perf.op_seconds["expand"] >= 0.006
-
-    def test_exception_still_charges_and_pops_frame(self):
-        perf = PerfCounters()
-        with pytest.raises(ValueError):
-            with perf.op_timer("outer"):
-                with perf.op_timer("inner"):
-                    raise ValueError("boom")
-        assert not perf._op_stack
-        assert "inner" in perf.exclusive_seconds
-        # the failed inner block still counts as the outer's child time
-        assert perf.exclusive_seconds["outer"] <= perf.op_seconds["outer"]
-
-
-class TestMergeAndSerialization:
-    def test_merge_sums_exclusive_seconds(self):
-        a, b = PerfCounters(), PerfCounters()
-        a.exclusive_seconds = {"expand": 1.0, "reduce": 0.5}
-        b.exclusive_seconds = {"expand": 2.0, "last_gasp": 0.25}
         a.merge(b)
-        assert a.exclusive_seconds == {
-            "expand": 3.0,
-            "reduce": 0.5,
-            "last_gasp": 0.25,
-        }
+        assert a.supercube_calls == 5
+        assert a.mincov_nodes == 1
+        assert a.essentials_memo_peak == 7
 
     def test_dict_round_trip(self):
-        perf = PerfCounters()
-        with perf.op_timer("expand"):
-            _busy(0.001)
-        back = PerfCounters.from_dict(perf.as_dict())
-        assert set(back.exclusive_seconds) == {"expand"}
-        assert back.exclusive_seconds["expand"] == pytest.approx(
-            perf.exclusive_seconds["expand"], abs=1e-6
-        )
-
-    def test_pre_exclusive_snapshots_load_empty(self):
-        # baselines written before this field existed must keep loading
-        back = PerfCounters.from_dict({"supercube_calls": 3})
-        assert back.exclusive_seconds == {}
-        assert back.supercube_calls == 3
-
-    def test_summary_lines_include_exclusive_view(self):
-        perf = PerfCounters()
-        with perf.op_timer("expand"):
-            _busy(0.001)
-        joined = "\n".join(perf.summary_lines())
-        assert "operator time (exclusive):" in joined
+        perf = PerfCounters(expand_probes=4, passes_executed=9)
+        assert PerfCounters.from_dict(perf.as_dict()) == perf
 
 
-class TestExclusivePartitionOnBenchmarks:
-    @pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
-    def test_sum_exclusive_bounded_by_runtime(self, name):
-        result = espresso_hf(build_benchmark(name))
-        exclusive = result.counters.exclusive_seconds
-        assert exclusive, name
-        total_exclusive = sum(exclusive.values())
-        total_op = sum(result.counters.op_seconds.values())
-        # exclusive intervals are disjoint slices of the run's wall time
-        assert total_exclusive <= result.runtime_s + 1e-9, name
-        # and never exceed the double-counting total view
-        assert total_exclusive <= total_op + 1e-9, name
-        # operators that never nest agree exactly across both views
-        for op in ("expand", "reduce"):
-            if op in exclusive:
-                assert exclusive[op] == pytest.approx(
-                    result.counters.op_seconds[op]
-                ), (name, op)
+class TestLastGaspCandidateBranch:
+    def test_candidates_reach_inner_irredundant(self, monkeypatch):
+        inst = cyclic_instance()
+        ctx = HFContext(inst)
+        reqs = ctx.canonical_required()
+        # the minterm cover: each cube is the only one covering its
+        # required cube, and adjacent pairs merge into defined supercubes
+        cubes = [Cube.from_string(m) for m in RING]
+        calls = []
 
-    def test_last_gasp_exclusive_excludes_inner_irredundant(self):
-        # cache-ctrl exercises LAST_GASP with its inner IRREDUNDANT; the
-        # exclusive view must be strictly tighter than the total view.
-        result = espresso_hf(build_benchmark("cache-ctrl"))
-        ops = result.counters.op_seconds
-        exclusive = result.counters.exclusive_seconds
-        assert "last_gasp" in ops
-        assert exclusive["last_gasp"] <= ops["last_gasp"]
+        def spy(pool, *args, **kwargs):
+            calls.append(len(pool))
+            return irredundant_cover(pool, *args, **kwargs)
+
+        monkeypatch.setattr(lastgasp_module, "irredundant_cover", spy)
+        out = last_gasp(cubes, reqs, ctx)
+        # the pool is the six minterms plus the six ring primes
+        assert calls == [12]
+        assert len(out) <= len(cubes)
+        assert sorted(c.input_string() for c in out) == ["-10", "00-", "1-1"]
+        assert verify_hazard_free_cover(inst, Cover(3, out)) == []
+
+
+class TestMincovNodes:
+    def test_cyclic_table_needs_branch_and_bound(self):
+        inst = cyclic_instance()
+        ctx = HFContext(inst)
+        reqs = ctx.canonical_required()
+        primes = [Cube.from_string(p) for p in RING_PRIMES]
+        out = irredundant_cover(primes, reqs, ctx)
+        # no forced column: the fast path cannot settle it, MINCOV must
+        assert ctx.perf.mincov_problems == 1
+        assert ctx.perf.mincov_nodes > 0
+        assert len(out) == 3
+        assert verify_hazard_free_cover(inst, Cover(3, out)) == []

@@ -7,6 +7,8 @@ drivers' pipelines have the documented shape and that custom ``passes``
 selections still produce verified hazard-free covers.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.guard.budget import RunBudget
@@ -15,12 +17,15 @@ from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import EspressoHFOptions, espresso_hf
 from repro.hf.espresso_hf import build_hf_pipeline, validate_stages
 from repro.espresso.espresso import EspressoOptions, build_espresso_pipeline
+from repro.perf import PerfCounters
 from repro.pipeline import (
     FixedPoint,
     Group,
+    Hook,
     PassManager,
     PipelineState,
     Step,
+    default_hooks,
     flatten_pass_names,
 )
 
@@ -79,6 +84,21 @@ class TestPassManager:
         PassManager().run((Step(ShrinkPass()), Step(ShrinkPass())), state)
         assert set(state.phase_seconds) == {"shrink"}
         assert state.phase_seconds["shrink"] >= 0.0
+
+    def test_timing_is_recorded_by_the_manager_not_a_hook(self):
+        # an empty hook stack still times every pass and counts it
+        state = CountState()
+        state.ctx = SimpleNamespace(perf=PerfCounters())
+        PassManager(hooks=[]).run(
+            (Step(ShrinkPass()), Step(NoopPass()), Step(ShrinkPass())), state
+        )
+        assert state.executed_passes == ["shrink", "noop", "shrink"]
+        assert set(state.phase_seconds) == {"shrink", "noop"}
+        assert state.ctx.perf.passes_executed == 3
+
+    def test_every_stock_hook_subclasses_hook(self):
+        for hook in default_hooks():
+            assert isinstance(hook, Hook), type(hook).__name__
 
     def test_trace_lines_record_cover_size(self):
         state = CountState(size=5)
