@@ -12,10 +12,11 @@ behind the slowest shard; the shared queue keeps every slot busy until
 the queue drains.
 
 **Crash isolation via single-shot processes.**  Each task runs in its own
-freshly forked process: a worker SIGKILLed mid-task yields a structured
-``worker_crashed`` row for *that* task — exit signal attached, retried up
-to ``retries`` times since a vanished worker does not indict the
-instance — while every other task proceeds.  A long-lived pool cannot
+freshly forked process (a spare that its slot's zygote forked ahead of
+demand, :mod:`repro.guard.zygote`): a worker SIGKILLed mid-task yields a
+structured ``worker_crashed`` row for *that* task — exit signal
+attached, retried up to ``retries`` times since a vanished worker does
+not indict the instance — while every other task proceeds.  A long-lived pool cannot
 promise that (a dead pool worker can hang ``Pool.map`` forever), and a
 hang is the one failure a 10k-instance overnight run cannot absorb.
 Per-task wall-clock timeouts terminate overrunners the same way.  Both

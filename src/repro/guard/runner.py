@@ -19,23 +19,28 @@ Two layers:
     take down a Figure-8 sweep: it times out or crashes *in its own
     process* and the batch report simply records that.
 
-This is the only place in the package that starts a worker process.
-:func:`run_one`, :func:`run_batch` and :func:`run_pool` are thin
-wrappers over it; ``scripts/bench_hf.py``, the CLI's ``--timeout`` and
-``--jobs`` modes, every ``serve`` cache miss and the corpus
-:class:`~repro.corpus.executor.ShardExecutor` all run on it.  Work items
-are plain dicts (see :func:`benchmark_payload` / :func:`pla_payload`) so
-they cross the process boundary without pickling any library objects.
+The worker processes are spares forked ahead of demand by long-lived
+zygotes (:mod:`repro.guard.zygote`), one per concurrent slot, so the
+caller never forks per item; the zygote module is the only place in the
+package that starts a worker process, and :func:`run_isolated` the only
+caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
+are thin wrappers over it; ``scripts/bench_hf.py``, the CLI's
+``--timeout`` and ``--jobs`` modes, every ``serve`` cache miss and the
+corpus :class:`~repro.corpus.executor.ShardExecutor` all run on it.
+Work items are plain dicts (see :func:`benchmark_payload` /
+:func:`pla_payload`) so they cross the process boundary without pickling
+any library objects; the worker callable crosses it pickled by name.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.guard import zygote as zygote_pool
 from repro.guard.bundle import (
     describe_exception,
     options_from_dict,
@@ -503,68 +508,46 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-def _child_main(worker, payload: Dict[str, Any], conn) -> None:  # pragma: no cover
-    """Subprocess entry point: run the payload, send the row, exit."""
-    try:
-        row = worker(payload)
-    except BaseException as exc:  # noqa: BLE001 - last-resort isolation
-        row = {
-            "name": payload.get("name", "instance"),
-            "status": "crash",
-            "error": describe_exception(exc),
-            "bundle_path": None,
-        }
-    try:
-        conn.send(row)
-    except Exception:  # noqa: BLE001 - parent will report worker_crashed
-        pass
-
-
 @dataclass
 class _Running:
-    """One live attempt: its payload, process, row pipe and clock."""
+    """One live attempt: its payload, zygote, clock and deadline."""
 
     payload: Dict[str, Any]
-    proc: Any
-    reader: Any
-    t0: float
+    zygote: zygote_pool.Zygote
     timeout: Optional[float]
+    t0: float = 0.0
+
+    def start(self, worker_blob: bytes) -> None:
+        self.t0 = time.perf_counter()
+        self.zygote.submit(pickle.dumps((self.payload, worker_blob), -1))
 
     def settle(self, ready) -> Optional[Dict[str, Any]]:
         """The attempt's final row, or ``None`` while it is still running.
 
-        The pipe is read first, so a row sent just before the deadline
-        still wins.  ``send`` returns before the child can exit, so an
-        empty pipe (or EOF) once the sentinel fired means the child died
-        without reporting — there is nothing left in flight to wait for.
+        A report that arrived wins over the deadline, so a row sent just
+        before it still counts.  The zygote reports a spare that died
+        without a row with the spare's own exit code, and a death of the
+        zygote itself with the zygote's.
         """
         name = self.payload.get("name", "instance")
-        row: Optional[Dict[str, Any]] = None
-        if self.reader.poll():
-            try:
-                row = self.reader.recv()
-            except (EOFError, OSError):  # died before or while sending
-                pass
-        elif self.proc.sentinel not in ready:
-            if self.timeout is None or time.perf_counter() < self.t0 + self.timeout:
-                return None
-            self.proc.terminate()
-            row = {
-                "name": name,
-                "status": "timeout",
-                "time_s": round(time.perf_counter() - self.t0, 6),
-                "error": timeout_message(self.timeout),
-                "bundle_path": _timeout_bundle(self.payload, self.timeout),
-            }
+        if self.zygote.conn in ready:
+            kind, value = self.zygote.report()
+            elapsed = time.perf_counter() - self.t0
+            if kind != "row":
+                return _worker_crashed_row(name, value, elapsed)
+            value.setdefault("time_s", round(elapsed, 6))
+            return value
+        if self.timeout is None or time.perf_counter() < self.t0 + self.timeout:
+            return None
         elapsed = time.perf_counter() - self.t0
-        self.proc.join(timeout=1.0)
-        if self.proc.is_alive():  # pragma: no cover - defensive cleanup
-            self.proc.terminate()
-            self.proc.join()
-        if row is None:
-            return _worker_crashed_row(name, self.proc.exitcode, elapsed)
-        row.setdefault("time_s", round(elapsed, 6))
-        return row
+        self.zygote.stop()
+        return {
+            "name": name,
+            "status": "timeout",
+            "time_s": round(elapsed, 6),
+            "error": timeout_message(self.timeout),
+            "bundle_path": _timeout_bundle(self.payload, self.timeout),
+        }
 
 
 def run_isolated(
@@ -577,63 +560,60 @@ def run_isolated(
 ) -> List[Dict[str, Any]]:
     """Run every payload in its own process, up to ``jobs`` at a time.
 
-    Each attempt is a fresh single-shot process running
-    ``worker(payload)``, which sends its row back over a one-way pipe.
-    The parent blocks in :func:`multiprocessing.connection.wait` on the
-    pipes and process sentinels until the first row, the first death or
-    the nearest deadline; a freed slot takes the next pending payload.
+    Each attempt runs ``worker(payload)`` in a fresh single-shot process,
+    a spare that a zygote (:mod:`repro.guard.zygote`) forked ahead of
+    demand; the call holds one zygote per concurrent slot, taken from and
+    returned to the process-wide pool.  ``worker`` travels pickled, so it
+    must be a module-level callable.  The caller blocks in
+    :func:`multiprocessing.connection.wait` on the zygotes' control pipes
+    until the first report or the nearest deadline; a freed slot takes
+    the next pending payload.
 
     Every payload yields one row, never an exception: the worker's own
     row (``status="crash"`` if it raised); ``status="timeout"`` past the
-    deadline (the ``timeout_s`` payload key, else the argument), with an
-    input bundle when the payload names a ``bundle_dir``; or
-    ``status="worker_crashed"`` when the process died without reporting.
-    Only the last is retried — up to ``retries`` times, with
-    ``payload["attempt"]`` bumped — since a vanished worker does not
-    indict the instance.
+    deadline (the ``timeout_s`` payload key, else the argument), after a
+    SIGTERM to the worker and with an input bundle when the payload names
+    a ``bundle_dir``; or ``status="worker_crashed"`` when the worker (or
+    its zygote) died without reporting.  Only the last is retried — up to
+    ``retries`` times, with ``payload["attempt"]`` bumped — since a
+    vanished worker does not indict the instance.
 
     Rows come back in payload order; ``on_row(index, row, attempt)``
     fires once per final row, in completion order.  An exception from
-    ``on_row`` (or an interrupt) terminates every live child before it
-    propagates.
+    ``on_row`` (or an interrupt) kills every in-flight worker and shuts
+    down the zygotes that forked them before it propagates.
     """
     from multiprocessing.connection import wait
 
     jobs = max(1, int(jobs))
-    ctx = multiprocessing.get_context()
+    worker_blob = pickle.dumps(worker)
     rows: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
     requeued = [0] * len(payloads)
     pending = deque(enumerate(payloads))
     active: Dict[int, _Running] = {}
+    idle: List[zygote_pool.Zygote] = []
     try:
         while pending or active:
             while pending and len(active) < jobs:
                 idx, payload = pending.popleft()
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main, args=(worker, payload, writer), daemon=True
-                )
-                t0 = time.perf_counter()
-                proc.start()
-                writer.close()  # the child holds the only write end
+                zygote = idle.pop() if idle else zygote_pool.checkout()
                 timeout = payload.get("timeout_s") or timeout_s
-                active[idx] = _Running(payload, proc, reader, t0, timeout)
+                active[idx] = _Running(payload, zygote, timeout)
+                active[idx].start(worker_blob)
             deadlines = [
                 r.t0 + r.timeout for r in active.values() if r.timeout is not None
             ]
             wait_s = (
                 max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
             )
-            handles = [r.reader for r in active.values()]
-            handles += [r.proc.sentinel for r in active.values()]
-            ready = set(wait(handles, wait_s))
+            ready = set(wait([r.zygote.conn for r in active.values()], wait_s))
             for idx in list(active):
                 running = active[idx]
                 row = running.settle(ready)
                 if row is None:
                     continue
                 del active[idx]
-                running.reader.close()
+                idle.append(running.zygote)
                 attempt = int(running.payload.get("attempt", 0))
                 if row.get("status") == "worker_crashed" and requeued[idx] < retries:
                     requeued[idx] += 1
@@ -644,9 +624,8 @@ def run_isolated(
                     on_row(idx, row, attempt)
     finally:
         for running in active.values():
-            running.proc.terminate()
-            running.proc.join()
-            running.reader.close()
+            running.zygote.abort()
+        zygote_pool.checkin(idle)
     return rows
 
 

@@ -17,7 +17,7 @@ from repro.cubes.cube import Cube
 from repro.cubes.cover import CoverColumns
 from repro.guard.budget import RunBudget
 from repro.hazards.instance import HazardFreeInstance, PrivilegedCube
-from repro.hf.coverage import CoverageIndex, SwarBlockMap
+from repro.hf.coverage import CoverageIndex
 from repro.perf import PerfCounters
 from repro._compat import popcount
 

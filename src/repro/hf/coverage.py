@@ -262,66 +262,3 @@ class CoverageIndex:
             if (mask >> index[(q.canonical.inbits, q.output)]) & 1
         ]
 
-
-class SwarBlockMap:
-    """Fixed block layout for SWAR passes over a set of universe positions.
-
-    One ``width``-bit block per position, in ascending-position order,
-    concatenated into a single big int (:attr:`cat`).  ``width`` leaves a
-    spare top bit per block so the carry-free zero-block test
-    (``hi & ~(t + low)``) never overflows into a neighbour.  The layout
-    depends only on the registered positions and their packed values —
-    never on the shrinking selection mask — so callers build it once per
-    instance and reuse it across an entire fixpoint.
-
-    :attr:`rep` replicates a ``width``-bit value into every block with one
-    multiply; :attr:`hi` / :attr:`low` are the per-block high-bit and
-    low-bits replications the zero-block test needs.
-    :meth:`positions_mask` collapses per-block verdict flags (high bit of
-    each block) back into a universe-position bitmask.
-    """
-
-    def __init__(
-        self, width: int, positions: Sequence[int], values: Sequence[int]
-    ):
-        self.width = width
-        self.positions = list(positions)
-        k = len(self.positions)
-        self.n_blocks = k
-        cat = 0
-        for i, v in enumerate(values):
-            cat |= v << (width * i)
-        self.cat = cat
-        if k:
-            self.rep = ((1 << (width * k)) - 1) // ((1 << width) - 1)
-        else:
-            self.rep = 0
-        self.hi = self.rep << (width - 1)
-        self.low = self.rep * ((1 << (width - 1)) - 1)
-
-    #: blocks consumed per chunk in :meth:`positions_mask`; keeps the
-    #: per-bit arithmetic on small ints instead of the full concatenation
-    _CHUNK_BLOCKS = 32
-
-    def positions_mask(self, flags: int) -> int:
-        """Universe-position bitmask from per-block high-bit flags.
-
-        Processed in chunks of :attr:`_CHUNK_BLOCKS` blocks: isolating a
-        set bit costs O(chunk) instead of O(total concatenation width),
-        which matters when most blocks are flagged.
-        """
-        mask = 0
-        width = self.width
-        positions = self.positions
-        chunk_bits = width * self._CHUNK_BLOCKS
-        chunk_mask = (1 << chunk_bits) - 1
-        base = 0
-        while flags:
-            chunk = flags & chunk_mask
-            flags >>= chunk_bits
-            while chunk:
-                b = chunk & -chunk
-                chunk ^= b
-                mask |= 1 << positions[base + (b.bit_length() - 1) // width]
-            base += self._CHUNK_BLOCKS
-        return mask

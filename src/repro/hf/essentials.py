@@ -55,7 +55,7 @@ def compute_essentials(
     Returns ``(essential_cubes, remaining_required)``: the chosen
     representative cube of each essential class, and the required cubes
     still to be covered by the main loop.  Produces results identical to
-    :func:`repro.hf.essentials_ref.compute_essentials_reference` — the
+    ``compute_essentials_reference`` in ``tests/essentials_ref.py`` — the
     escape-row filter is exact and the incremental skips are proven
     verdict-preserving, so only the amount of work differs.
     """

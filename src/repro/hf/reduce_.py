@@ -16,7 +16,7 @@ shrink, instead of re-scanning all (cube, required-cube) pairs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.cubes.cube import Cube
 from repro.hf.context import HFContext, TaggedRequired

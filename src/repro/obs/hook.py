@@ -6,13 +6,12 @@ run's :class:`~repro.obs.span.Tracer`:
 
 * ``pass:<name>`` for each :class:`~repro.pipeline.base.Step`;
 * ``group:<name>`` / ``fixedpoint:<name>`` around the structural nodes —
-  these use the extended hook events (``group_started``,
-  ``group_finished``, ``fixed_point_started``, ``fixed_point_exited``)
-  the manager dispatches defensively, so legacy duck-typed hooks need not
-  implement them.  The extended events are *always paired* (dispatched in
-  ``finally`` blocks), unlike the legacy ``fixed_point_finished``, which
-  is skipped on cooperative early stops — pairing is what keeps the span
-  stack consistent.
+  these use the structural hook events (``group_started``,
+  ``group_finished``, ``fixed_point_started``, ``fixed_point_exited``),
+  which every :class:`~repro.pipeline.hooks.Hook` inherits as no-ops.
+  They are *always paired* (dispatched in ``finally`` blocks), unlike
+  ``fixed_point_finished``, which is skipped on cooperative early stops —
+  pairing is what keeps the span stack consistent.
 
 Pass spans carry the attributes the ISSUE calls out: cover size and
 measure after the pass, budget consumption so far, and the deltas of the

@@ -26,7 +26,7 @@ phases are data, the loop around them is one reusable engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - typing nicety only

@@ -23,19 +23,24 @@ and every decision is counted through the shared
 6. **Admit or shed**: a bounded queue plus an estimated-wait bound
    (EWMA of recent job times); shed responses carry ``retry_after_s``.
 7. **Run** on an isolated worker process (:func:`repro.guard.runner.run_one`)
-   with a wall-clock deadline; *worker death* — and only worker death,
-   which is the one retry-safe failure in the
-   :mod:`repro.guard.errors` taxonomy — is retried on a fresh process
-   under exponential backoff with jitter, at most ``max_retries`` times,
-   with the crash count feeding the quarantine.
+   with a wall-clock deadline, after which the worker is SIGTERMed;
+   *worker death* — and only worker death, which is the one retry-safe
+   failure in the :mod:`repro.guard.errors` taxonomy — is retried on a
+   fresh process under exponential backoff with jitter, at most
+   ``max_retries`` times, with the crash count feeding the quarantine.
 8. **Serve degraded results explicitly**: a budget-exhausted run returns
    its best *verified* snapshot with ``status="degraded"`` rather than
    failing the request.
 
-Workers are **single-shot processes**: each attempt forks a fresh
-interpreter, so "automatic respawn" is structural — there is no pool
-process whose corpse can wedge the service (see
-:func:`repro.guard.runner.run_isolated`, the scheduler behind ``run_one``).
+Workers are **single-shot processes**: each attempt runs in a fresh
+spare that a zygote forked ahead of demand, and the spare exits after
+its one job, so "automatic respawn" is structural.  The daemon itself
+never forks per job: each concurrent worker thread holds its own zygote
+(``--workers N`` means at most N), a zygote found dead before a job is
+replaced before the job starts, and one that dies mid-job turns the
+attempt into a ``worker_crashed`` row like any other worker death (see
+:func:`repro.guard.runner.run_isolated`, the scheduler behind
+``run_one``, and :mod:`repro.guard.zygote`).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.guard.bundle import options_from_dict, options_to_dict, write_bundle
+from repro.guard.bundle import options_from_dict, write_bundle
 from repro.guard.errors import BY_WIRE, OUTCOMES, MalformedInstance
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import TIME_BUCKETS_S

@@ -5,9 +5,9 @@ This is the straightforward scan-everything fixpoint that
 It is kept verbatim as a differential oracle: the batched engine must
 produce identical ``(essentials, remaining)`` on every instance
 (``tests/test_essentials_batched.py`` pins this on the golden suite and
-on random instances).  Nothing in the pipeline imports this module — it
-exists only for tests, and for bisecting should the engines ever
-diverge.
+on random instances).  Nothing in ``src/`` imports it; it lives beside
+the other ``tests/*_ref.py`` oracles, and serves for bisecting should the
+engines ever diverge.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The batched engine (:mod:`repro.hf.essentials`) must be *observationally
 identical* to the straightforward reference fixpoint kept in
-:mod:`repro.hf.essentials_ref` — the escape-row filter is exact and the
+``tests/essentials_ref.py`` — the escape-row filter is exact and the
 incremental skips are verdict-preserving, so only the amount of work may
 differ.  These tests pin that equivalence on the full benchmark suite and
 on random instances, and additionally pin the batch supercube entry point
@@ -18,7 +18,7 @@ from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.cubes.cube import mask01
 from repro.hf.context import HFContext
 from repro.hf.essentials import compute_essentials
-from repro.hf.essentials_ref import compute_essentials_reference
+from tests.essentials_ref import compute_essentials_reference
 from repro.proptest.strategies import InstanceConfig, instances, solvable_instances
 
 #: small instances keep per-example minimization cheap; multi-output so
