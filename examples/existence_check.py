@@ -32,7 +32,10 @@ instance = HazardFreeInstance(on, off, transitions, name="unsolvable")
 report = existence_report(instance)
 print(f"hazard-free cover exists: {report.exists}")
 for q in report.failures:
-    print(f"   required cube {q.cube.input_string()} has no dhf-supercube:")
+    print(
+        f"   required cube {q.cube.input_string()} (output {q.output}, "
+        f"transition {q.transition}) has no dhf-supercube"
+    )
 
 # Walk the forced expansion chain by hand to see why.
 priv = instance.privileged_for_output(0)
@@ -47,8 +50,9 @@ hits = [o.input_string() for o in off0 if grown.intersects_input(o)]
 print(f"   -> {grown.input_string()} intersects the OFF-set ({hits[0]}): undefined")
 assert supercube_dhf([bad], priv, off0) is None
 
-print("\nEspresso-HF refuses the instance up front:")
+print("\nEspresso-HF refuses the instance up front, naming the same cubes:")
 try:
     espresso_hf(instance)
 except NoSolutionError as err:
+    assert err.failures == report.failures
     print(f"   NoSolutionError: {err}")

@@ -36,7 +36,13 @@ import sys
 from typing import List, Optional
 
 from repro.exact import exact_hazard_free_minimize, ExactBudget, ExactFailure
-from repro.guard.errors import OUTCOMES, HFError, MalformedInstance, outcome_of
+from repro.guard.errors import (
+    OUTCOMES,
+    HFError,
+    MalformedInstance,
+    NoSolutionError,
+    outcome_of,
+)
 from repro.hazards.existence import existence_report
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import EspressoHFOptions
@@ -192,7 +198,7 @@ def _heuristic_options(args) -> EspressoHFOptions:
 def _report_failure(outcome, error: str, bundle_path=None) -> int:
     """Print a run's failure to stderr; returns its exit code."""
     if outcome.name == "no_solution":
-        print(f"no hazard-free cover exists: {error}", file=sys.stderr)
+        print(error, file=sys.stderr)
     elif outcome.name == "crash":
         print(f"error: worker failed:\n{error}", file=sys.stderr)
     else:
@@ -329,9 +335,7 @@ def _run_command(args, tracer) -> int:
         if report.exists:
             print("a hazard-free cover exists")
             return EXIT_OK
-        print("NO hazard-free cover exists; offending required cubes:")
-        for q in report.failures:
-            print(f"   {q.cube.input_string()} (output {q.output})")
+        print(NoSolutionError(instance.name, report.failures))
         return EXIT_NO_SOLUTION
 
     if (args.session_in or args.session_out) and (
@@ -349,9 +353,7 @@ def _run_command(args, tracer) -> int:
                 instance, budget=ExactBudget(time_limit_s=args.exact_time_limit)
             )
             if result.status == "no_solution":
-                print(f"NO hazard-free cover exists: {result.detail}",
-                      file=sys.stderr)
-                return EXIT_NO_SOLUTION
+                return _report_failure(OUTCOMES["no_solution"], result.detail)
             cover = result.cover
             if args.stats:
                 print(f"# dhf-primes: {result.num_dhf_primes}", file=sys.stderr)

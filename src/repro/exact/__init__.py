@@ -19,7 +19,6 @@ from repro.exact.minimizer import (
     ExactHFResult,
     ExactBudget,
     ExactFailure,
-    NoSolutionError,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "ExactHFResult",
     "ExactBudget",
     "ExactFailure",
-    "NoSolutionError",
 ]

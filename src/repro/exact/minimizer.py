@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.cubes.cover import Cover
 from repro.espresso.primes import PrimeExplosionError
@@ -13,7 +13,8 @@ from repro.exact.dhf_primes import (
     instance_primes,
     transform_to_dhf_primes,
 )
-from repro.hazards.instance import HazardFreeInstance
+from repro.guard.errors import NoSolutionError
+from repro.hazards.instance import HazardFreeInstance, RequiredCube
 from repro.mincov import solve_mincov, CoveringExplosionError
 
 
@@ -28,20 +29,6 @@ class ExactFailure(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"exact minimizer failed in stage '{stage}': {message}")
         self.stage = stage
-
-
-class NoSolutionError(RuntimeError):
-    """No hazard-free cover exists: some required cube is covered by no
-    dhf-prime implicant.
-
-    .. deprecated::
-        :func:`exact_hazard_free_minimize` no longer raises this — it
-        returns an :class:`ExactHFResult` with ``status="no_solution"``
-        instead, so batch drivers (the corpus differential in
-        :mod:`repro.corpus.differential`) can *score* unsolvable
-        instances rather than catch them.  The class stays importable
-        for old ``except`` clauses.
-    """
 
 
 @dataclass
@@ -65,8 +52,10 @@ class ExactHFResult:
         a minimum-cardinality hazard-free cover was found (``cover`` set);
     ``"no_solution"``
         Theorem 4.1 failed — some required cube is covered by no dhf-prime
-        implicant, so no hazard-free cover exists (``cover`` is ``None``
-        and ``detail`` names the offending required cube).
+        implicant, so no hazard-free cover exists (``cover`` is ``None``,
+        ``failures`` lists every such required cube and ``detail`` is the
+        message of the heuristic's :class:`~repro.guard.errors.NoSolutionError`
+        for them).
 
     Budget exhaustion is *not* a status: a stage blowing its budget still
     raises :class:`ExactFailure`, because "too expensive to answer" is a
@@ -80,6 +69,7 @@ class ExactHFResult:
     phase_seconds: dict = field(default_factory=dict)
     status: str = "ok"
     detail: str = ""
+    failures: List[RequiredCube] = field(default_factory=list)
 
     @property
     def num_cubes(self) -> int:
@@ -128,6 +118,7 @@ def exact_hazard_free_minimize(
     t0 = time.perf_counter()
     required = instance.required_cubes()
     rows = []
+    failures = []
     for q in required:
         cols = [
             j
@@ -135,17 +126,20 @@ def exact_hazard_free_minimize(
             if p.has_output(q.output) and p.contains_input(q.cube)
         ]
         if not cols:
-            phases["covering"] = time.perf_counter() - t0
-            return ExactHFResult(
-                cover=None,
-                num_primes=len(primes),
-                num_dhf_primes=len(dhf_primes),
-                runtime_s=time.perf_counter() - t_start,
-                phase_seconds=phases,
-                status="no_solution",
-                detail=f"required cube {q} covered by no dhf-prime implicant",
-            )
+            failures.append(q)
         rows.append(cols)
+    if failures:
+        phases["covering"] = time.perf_counter() - t0
+        return ExactHFResult(
+            cover=None,
+            num_primes=len(primes),
+            num_dhf_primes=len(dhf_primes),
+            runtime_s=time.perf_counter() - t_start,
+            phase_seconds=phases,
+            status="no_solution",
+            detail=str(NoSolutionError(instance.name, failures)),
+            failures=failures,
+        )
     try:
         chosen = solve_mincov(
             rows,

@@ -20,7 +20,7 @@ This module must stay import-light: it is imported by ``repro.hf`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class HFError(Exception):
@@ -32,9 +32,39 @@ class HFError(Exception):
         return outcome_of(self).exit_code
 
 
+def no_solution_message(name: str, cubes: Iterable[Tuple[str, int]]) -> str:
+    """The one rendering of a Theorem 4.1 failure.
+
+    ``cubes`` are ``(input part, output)`` pairs of the required cubes
+    with no dhf-supercube; each distinct pair is listed once, sorted by
+    ``(output, input part)``, so the text depends on the set only.
+    """
+    pairs = sorted({(j, cube) for cube, j in cubes})
+    listed = ", ".join(f"{cube} (output {j})" for j, cube in pairs)
+    return (
+        f"{name}: no hazard-free cover exists (Theorem 4.1); "
+        f"offending required cubes: {listed or 'unknown'}"
+    )
+
+
 class NoSolutionError(HFError, RuntimeError):
     """The instance admits no hazard-free cover (Theorem 4.1) — a property
-    of the input, not a fault."""
+    of the input, not a fault.
+
+    ``failures`` holds every required cube whose dhf-supercube is
+    undefined (:class:`repro.hazards.instance.RequiredCube`, with the
+    transition it came from), in required-cube order; ``name`` is the
+    instance's.  The message is :func:`no_solution_message` of the two.
+    """
+
+    def __init__(self, name: str, failures: Iterable = ()):
+        self.name = name
+        self.failures = list(failures)
+        super().__init__(
+            no_solution_message(
+                name, [(q.cube.input_string(), q.output) for q in self.failures]
+            )
+        )
 
 
 class BudgetExceeded(HFError, RuntimeError):

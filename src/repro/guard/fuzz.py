@@ -60,7 +60,7 @@ def check_instance(inst, budget=None, do_exact=True, do_sim=True) -> str:
     """
     from repro.exact import ExactBudget, ExactFailure, exact_hazard_free_minimize
     from repro.guard.errors import NoSolutionError
-    from repro.hazards import hazard_free_solution_exists
+    from repro.hazards.dhf import supercube_dhf
     from repro.hazards.verify import verify_hazard_free_cover
     from repro.hf import espresso_hf
     from repro.detect.netlist import Netlist
@@ -74,11 +74,26 @@ def check_instance(inst, budget=None, do_exact=True, do_sim=True) -> str:
             covering_node_limit=100_000,
             time_limit_s=20,
         )
-    exists = hazard_free_solution_exists(inst)
+    # Theorem 4.1 decided independently of the engine: one scalar
+    # supercube_dhf per required cube, on Cube objects.
+    failing = [
+        (q.cube, q.output)
+        for q in inst.required_cubes()
+        if supercube_dhf(
+            [q.cube],
+            inst.privileged_for_output(q.output),
+            inst.off_for_output(q.output),
+        )
+        is None
+    ]
+    exists = not failing
     try:
         hf = espresso_hf(inst)
-    except NoSolutionError:
+    except NoSolutionError as exc:
         assert not exists, f"{inst.name}: HF refused a solvable instance"
+        assert [(q.cube, q.output) for q in exc.failures] == failing, (
+            f"{inst.name}: HF and the scalar check name different cubes"
+        )
         if do_exact:
             try:
                 exact = exact_hazard_free_minimize(inst, budget=budget)
@@ -87,6 +102,9 @@ def check_instance(inst, budget=None, do_exact=True, do_sim=True) -> str:
             else:
                 assert exact.status == "no_solution", (
                     f"{inst.name}: exact solved an unsolvable instance"
+                )
+                assert [(q.cube, q.output) for q in exact.failures] == failing, (
+                    f"{inst.name}: exact and the scalar check name different cubes"
                 )
         return "unsolvable"
     assert exists, f"{inst.name}: HF solved but Theorem 4.1 says unsolvable"

@@ -326,6 +326,9 @@ def failure_fields(exc: BaseException) -> Dict[str, Any]:
     The status is the exception's outcome
     (:func:`~repro.guard.errors.outcome_of`); a malformed instance names
     its class, an unexpected exception (a ``crash``) carries its traceback.
+    A Theorem 4.1 failure also carries its failing required cubes
+    (``failures``, :func:`repro.hazards.existence.failure_rows`), so a
+    caller can rename or relabel them and re-render the error.
     """
     outcome = outcome_of(exc)
     if outcome.exc is None:
@@ -334,11 +337,16 @@ def failure_fields(exc: BaseException) -> Dict[str, Any]:
         error = f"{type(exc).__name__}: {exc}"
     else:
         error = str(exc)
-    return {
+    fields = {
         "status": outcome.name,
         "error": error,
         "bundle_path": getattr(exc, "bundle_path", None),
     }
+    if isinstance(exc, NoSolutionError):
+        from repro.hazards.existence import failure_rows
+
+        fields["failures"] = failure_rows(exc.failures)
+    return fields
 
 
 def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -66,10 +66,3 @@ def supercube_dhf(
     if any(r.intersects_input(o) for o in off):
         return None
     return r
-
-
-def canonical_required_cube(
-    cube: Cube, privileged: Sequence[PrivilegedCube], off: Cover
-) -> Optional[Cube]:
-    """The canonical required cube: ``supercube_dhf({cube})`` (paper §3.2)."""
-    return supercube_dhf([cube], privileged, off)

@@ -16,7 +16,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cubes.cube import Cube
 from repro.cubes.cover import CoverColumns
 from repro.guard.budget import RunBudget
-from repro.hazards.instance import HazardFreeInstance, PrivilegedCube
+from repro.guard.errors import NoSolutionError
+from repro.hazards.instance import (
+    HazardFreeInstance,
+    PrivilegedCube,
+    RequiredCube,
+)
 from repro.hf.coverage import CoverageIndex
 from repro.perf import PerfCounters
 from repro._compat import popcount
@@ -712,21 +717,27 @@ class HFContext:
     # Canonical required cubes (dhf-canonicalization, §3.2)
     # ------------------------------------------------------------------
 
-    def canonical_required(self) -> Optional[List[TaggedRequired]]:
+    def canonical_required(self) -> List[TaggedRequired]:
         """``Q_f``: the canonical required cubes, SCC-minimized per output.
 
-        Returns ``None`` when some required cube has no dhf-supercube — by
-        Theorem 4.1 the instance then has no hazard-free cover.
+        This is the one Theorem 4.1 decision in the package: every required
+        cube is tested, and when any has no dhf-supercube the instance has
+        no hazard-free cover and :class:`NoSolutionError` is raised naming
+        all of them, in required-cube order.
         """
         tagged: List[TaggedRequired] = []
+        failures: List[RequiredCube] = []
         n = self.n_inputs
         for q in self.instance.required_cubes():
             sup_in = self.supercube_dhf_bits(q.cube.inbits, 1 << q.output)
             if sup_in is None:
-                return None
-            tagged.append(
-                TaggedRequired(Cube(n, sup_in, 1, 1), q.output, q.cube)
-            )
+                failures.append(q)
+            elif not failures:
+                tagged.append(
+                    TaggedRequired(Cube(n, sup_in, 1, 1), q.output, q.cube)
+                )
+        if failures:
+            raise NoSolutionError(self.instance.name, failures)
         return self._scc_minimize(tagged)
 
     @staticmethod

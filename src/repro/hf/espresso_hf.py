@@ -57,7 +57,7 @@ enforces that contract operationally:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cubes.cube import Cube
@@ -199,11 +199,12 @@ class HFState(PipelineState):
 class CanonicalizePass:
     """dhf-canonicalization (paper §3.2): build ``Q_f`` and the seed cover.
 
-    Raises :class:`NoSolutionError` when some required cube has no
-    dhf-supercube (Theorem 4.1).  An instance with no required cubes stops
-    the pipeline with an empty cover.  On success the canonical cubes form
-    the first valid hazard-free cover, so the snapshot hook arms budget
-    degradation from here on.
+    :meth:`HFContext.canonical_required` raises :class:`NoSolutionError`
+    when some required cube has no dhf-supercube (Theorem 4.1).  An
+    instance with no required cubes stops the pipeline with an empty
+    cover.  On success the canonical cubes form the first valid
+    hazard-free cover, so the snapshot hook arms budget degradation from
+    here on.
     """
 
     name = "canonicalize"
@@ -213,11 +214,6 @@ class CanonicalizePass:
         instance = state.instance
         state.num_required = len(instance.required_cubes())
         qf = ctx.canonical_required()
-        if qf is None:
-            raise NoSolutionError(
-                f"{instance.name}: some required cube has no dhf-supercube "
-                "(Theorem 4.1: no hazard-free cover exists)"
-            )
         state.qf = qf
         state.remaining = list(qf)
         state.f = [ctx.cube_for(q) for q in qf]
@@ -613,13 +609,33 @@ def espresso_hf_per_output(
             results = _per_output_results_parallel(instance, options, jobs)
         else:
             results = [
-                espresso_hf(instance.restrict_to_output(j), options)
+                _output_run(instance, j, options)
                 for j in range(instance.n_outputs)
             ]
     finally:
         if tracer is not None:
             tracer.unwind(root)
     return merge_output_results(instance, results, t_start=t_start)
+
+
+def _no_solution_in_output(
+    instance: HazardFreeInstance, j: int, failures
+) -> NoSolutionError:
+    """A restricted sub-run's Theorem 4.1 failure, named in ``instance``'s
+    terms: its name, and output ``j`` instead of the restriction's 0."""
+    return NoSolutionError(
+        instance.name, [replace(q, output=j) for q in failures]
+    )
+
+
+def _output_run(
+    instance: HazardFreeInstance, j: int, options: EspressoHFOptions
+) -> HFResult:
+    """One serial per-output sub-run."""
+    try:
+        return espresso_hf(instance.restrict_to_output(j), options)
+    except NoSolutionError as exc:
+        raise _no_solution_in_output(instance, j, exc.failures) from None
 
 
 def merge_output_results(
@@ -707,17 +723,26 @@ def _per_output_results_parallel(
     if tracer is not None:
         for j, row in enumerate(rows):
             tracer.adopt(row.get("spans") or [], tid=j + 1)
-    return [_result_from_row(instance, row) for row in rows]
+    return [_result_from_row(instance, j, row) for j, row in enumerate(rows)]
 
 
-def _result_from_row(instance: HazardFreeInstance, row: dict) -> HFResult:
-    """Rebuild one per-output sub-run's :class:`HFResult` from a runner row.
+def _result_from_row(
+    instance: HazardFreeInstance, j: int, row: dict
+) -> HFResult:
+    """Rebuild output ``j``'s sub-run :class:`HFResult` from a runner row.
 
     Failure rows re-raise the same exception the serial sweep would have
-    propagated, so the two modes are behaviour-identical at the call site.
+    propagated, so the two modes are behaviour-identical at the call site;
+    a ``no_solution`` row's error is rebuilt from its failing cubes.
     """
     status = row["status"]
     outcome = OUTCOMES.get(status, OUTCOMES["crash"])
+    if outcome.exc is NoSolutionError:
+        from repro.hazards.existence import failures_from_rows
+
+        raise _no_solution_in_output(
+            instance, j, failures_from_rows(row.get("failures") or [])
+        )
     if not outcome.cover:
         error = row.get("error") or row.get("name", "per-output")
         if outcome.exc is None:

@@ -46,8 +46,10 @@ class ResultCache:
 
     An entry is a plain dict: ``{"status", "cover_pla", "num_cubes",
     "num_literals", "error"}`` with ``cover_pla`` in canonical labeling
-    (``None`` for ``no_solution``).  Eviction is least-recently-*used*:
-    every hit refreshes the entry.
+    (``None`` for ``no_solution``, which instead keeps ``failures``: its
+    failing required cubes as canonically-labeled ``(input part,
+    output)`` pairs, rendered per requester).  Eviction is
+    least-recently-*used*: every hit refreshes the entry.
     """
 
     def __init__(self, max_entries: int = 1024):

@@ -42,7 +42,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cubes.cover import Cover
-from repro.cubes.cube import LITERAL_ONE, LITERAL_ZERO
+from repro.cubes.cube import LITERAL_ONE, LITERAL_ZERO, Cube
 from repro.hazards.instance import HazardFreeInstance
 from repro.proptest.metamorphic import (
     flip_cover,
@@ -99,11 +99,26 @@ class CanonicalForm:
             inverse[var] = position
         return flip_cover(permute_cover(cover, inverse), self.flip_mask)
 
+    def inputs_to_canonical(self, inputs: Sequence[str]) -> List[str]:
+        """Map input parts (``"10-"`` strings) into canonical labeling."""
+        return _input_strings(self.cover_to_canonical(self._cover(inputs)))
+
+    def inputs_from_canonical(self, inputs: Sequence[str]) -> List[str]:
+        """Map canonically-labeled input parts back onto the original."""
+        return _input_strings(self.cover_from_canonical(self._cover(inputs)))
+
+    def _cover(self, inputs: Sequence[str]) -> Cover:
+        return Cover(len(self.perm), [Cube.from_string(s) for s in inputs])
+
     def canonical_instance(self, instance: HazardFreeInstance) -> HazardFreeInstance:
         """Materialize the canonical representative (tests / diagnostics)."""
         return permute_instance(
             flip_instance(instance, self.flip_mask), self.perm
         )
+
+
+def _input_strings(cover: Cover) -> List[str]:
+    return [c.input_string() for c in cover]
 
 
 def _column_data(instance: HazardFreeInstance):

@@ -16,8 +16,9 @@ and every decision is counted through the shared
    ``quarantine_threshold`` workers is refused with its repro bundle —
    a poison job is evidence, not a retry loop.
 4. **Cache** (:mod:`repro.serve.cache`): a hit is served without
-   minimizing — the cached canonical cover is mapped into the requester's
-   variable labeling.
+   minimizing — the cached canonical cover, or a ``no_solution``
+   verdict's failing required cubes, is mapped into the requester's
+   variable labeling, and the error names the requester's instance.
 5. **Coalesce**: an identical job already in flight is awaited, not
    re-run; both requesters get the one result.
 6. **Admit or shed**: a bounded queue plus an estimated-wait bound
@@ -54,7 +55,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.guard.bundle import options_from_dict, write_bundle
-from repro.guard.errors import BY_WIRE, OUTCOMES, MalformedInstance
+from repro.guard.errors import (
+    BY_WIRE,
+    OUTCOMES,
+    MalformedInstance,
+    no_solution_message,
+)
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import TIME_BUCKETS_S
 from repro.serve.cache import MalformedCache, ResultCache, options_fingerprint
@@ -473,6 +479,12 @@ class Supervisor:
             outcome.get("session_stored") or job.cache_key[0] in self.sessions
         ):
             fields["warm_key"] = job.cache_key[0]
+        failures = outcome.get("failures")
+        if failures is not None:
+            cubes = job.canon.inputs_from_canonical([c for c, _ in failures])
+            fields["error"] = no_solution_message(
+                job.name, [(c, j) for c, (_, j) in zip(cubes, failures)]
+            )
         has_cover = BY_WIRE[status].cover
         if has_cover and outcome.get("cover_pla"):
             from repro.pla import format_cover, parse_pla
@@ -654,6 +666,16 @@ class Supervisor:
             )
             if reverified:
                 self._count("warmstart.cubes_reverified", int(reverified))
+        failures = row.get("failures")
+        if failures is not None:
+            # Like a cover, the failing cubes are kept in canonical labels
+            # and without the instance name: each reply re-renders the
+            # error in its own requester's name and labels.
+            cubes = job.canon.inputs_to_canonical([f[0] for f in failures])
+            outcome["failures"] = [
+                (cube, f[1]) for cube, f in zip(cubes, failures)
+            ]
+            outcome["error"] = None
         if row_outcome.cover and row.get("cover_pla"):
             from repro.pla import format_cover, parse_pla
 

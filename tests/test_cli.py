@@ -51,7 +51,10 @@ class TestCli:
         assert main([fig3_pla, "--check-existence"]) == EXIT_OK
         assert main([unsolvable_pla, "--check-existence"]) == EXIT_NO_SOLUTION
         out = capsys.readouterr().out
-        assert "NO hazard-free cover" in out
+        assert out.endswith(
+            "no hazard-free cover exists (Theorem 4.1); "
+            "offending required cubes: -10 (output 0)\n"
+        )
 
     def test_unsolvable_exit_code(self, unsolvable_pla, capsys):
         assert main([unsolvable_pla]) == EXIT_NO_SOLUTION

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bm.random_spec import random_instance
 from repro.cubes import Cube, Cover
+from repro.hazards import hazard_free_solution_exists
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import HFContext
 from repro.hf.expand import expand_cover, expand_toward_required
@@ -30,8 +31,7 @@ def solvable_random_instances():
     out = []
     for seed in range(14):
         inst = random_instance(4, 2, n_transitions=5, seed=seed)
-        ctx = HFContext(inst)
-        if ctx.canonical_required():
+        if hazard_free_solution_exists(inst) and HFContext(inst).canonical_required():
             out.append(inst)
     return out
 

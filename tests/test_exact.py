@@ -14,7 +14,6 @@ from repro.exact import (
     ExactFailure,
 )
 from repro.exact.dhf_primes import instance_primes, transform_to_dhf_primes
-from repro.exact.minimizer import NoSolutionError
 from repro.hazards import hazard_free_solution_exists
 from repro.hazards.dhf import is_dhf_implicant
 from repro.hazards.verify import is_hazard_free_cover
@@ -90,10 +89,6 @@ class TestExactMinimize:
         assert res.cover is None
         assert res.num_cubes == 0
         assert "required cube" in res.detail
-
-    def test_no_solution_error_still_importable(self):
-        # legacy except-clauses must keep compiling against the old name
-        assert issubclass(NoSolutionError, RuntimeError)
 
     def test_prime_budget_failure(self):
         inst = figure3_instance()

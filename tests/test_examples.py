@@ -19,6 +19,14 @@ EXAMPLES = {
     "figure1_hazard_cost.py": ["reproduced"],
     "burst_mode_controller.py": ["no glitches found"],
     "closed_loop_simulation.py": ["zero glitches", "25/25 walks glitched"],
+    "existence_check.py": [
+        "hazard-free cover exists: False",
+        "offending required cubes: -10 (output 0)",
+    ],
+    "canonicalization_walkthrough.py": [
+        "canonical cube = b",
+        "collapse to 3 canonical ones",
+    ],
 }
 
 #: files the examples leave in their working directory

@@ -38,9 +38,16 @@ class TestContext:
         strs = {q.canonical.input_string() for q in qf}
         assert strs == {"-1--", "1-0-", "0-00"}
 
-    def test_canonical_none_when_unsolvable(self):
+    def test_canonical_raises_when_unsolvable(self):
         ctx = HFContext(unsolvable_instance())
-        assert ctx.canonical_required() is None
+        with pytest.raises(NoSolutionError) as info:
+            ctx.canonical_required()
+        failures = info.value.failures
+        assert [f"{q.cube.input_string()} (output {q.output})" for q in failures] == [
+            "-10 (output 0)"
+        ]
+        assert str(failures[0].transition) == "010->110"
+        assert str(info.value).endswith("offending required cubes: -10 (output 0)")
 
     def test_supercube_dhf_multi_output_union(self):
         on = Cover.from_strings(["-1 10", "-1 01"])

@@ -6,8 +6,11 @@ through every surface and checks they agree:
 
 * the library — :func:`guarded_espresso_hf` and :func:`minimize_payload`;
 * the CLI — ``main()`` in-process and with ``--timeout`` (an isolated
-  worker);
-* ``serve`` — a daemon started with :func:`start_in_thread`;
+  worker), and for ``no_solution`` also ``--check-existence`` and
+  ``--exact``;
+* ``serve`` — a daemon started with :func:`start_in_thread`, fresh and,
+  for ``no_solution``, from its cache under a renamed, permuted and
+  flipped resubmission;
 * the corpus shard worker — :func:`repro.corpus.worker.serve_stdio`.
 
 Inputs are one instance per corpus stratum, one malformed PLA text and
@@ -17,7 +20,8 @@ worker, the two surfaces that honour the test-only ``inject`` seam.
 
 Each surface must report the same outcome name, the table's exit code
 and wire status for it, byte-identical cover PLA wherever a cover is
-attached, and, for ``no_solution``, the same Theorem 4.1 message.
+attached, and, for ``no_solution``, the same Theorem 4.1 message naming
+the same failing required cubes in the requester's own name and labels.
 :data:`CONTRACT` pins every exit code and wire status independently of
 the table, so changing one of them in the table fails this suite.
 """
@@ -56,6 +60,7 @@ from repro.guard.runner import (
 )
 from repro.hf import EspressoHFOptions
 from repro.pla import format_cover, format_pla, parse_pla
+from repro.proptest.metamorphic import flip_instance, permute_instance
 from repro.serve import ServeClient, ServeConfig, start_in_thread
 
 #: the outcome contract, pinned by hand: name -> (CLI exit code, wire status)
@@ -141,8 +146,8 @@ def _cli(tmp_path, capsys, text, *flags):
         out.unlink()
     capsys.readouterr()
     code = cli_main([str(path), "-o", str(out), *flags])
-    err = capsys.readouterr().err
-    return code, err, out.read_text() if out.exists() else None
+    printed = capsys.readouterr()
+    return code, printed.out + printed.err, out.read_text() if out.exists() else None
 
 
 def _worker(payloads, timeout_s=None):
@@ -285,10 +290,17 @@ class TestOneExceptionMapping:
         instance = parse_pla(
             STRATA["tiny"].pla_text, name="tiny"
         ).to_instance()
+        row = {"status": status, "error": "boom"}
+        expected = "boom"
+        if status == "no_solution":
+            # rebuilt from the row's cubes, in the sweep's output index
+            cube = "-" * instance.n_inputs
+            row["failures"] = [[cube, 0, "0" * instance.n_inputs, "1" * instance.n_inputs]]
+            expected = f"offending required cubes: {cube} (output 1)"
         with pytest.raises(exc_class) as info:
-            _result_from_row(instance, {"status": status, "error": "boom"})
+            _result_from_row(instance, 1, row)
         assert outcome_of(info.value).name == status
-        assert "boom" in str(info.value)
+        assert expected in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -316,12 +328,48 @@ def test_every_surface_agrees(tmp_path, capsys, daemon, case, text, options,
 
     if not via_cli:
         return
-    for flags in ((), ("--timeout", "60")):
-        code, err, cover = _cli(tmp_path, capsys, text, *flags)
-        assert code == expected_exit, (flags, err)
+    cli_modes = [(), ("--timeout", "60")]
+    if name == "no_solution":
+        cli_modes += [("--check-existence",), ("--exact",)]
+    for flags in cli_modes:
+        code, printed, cover = _cli(tmp_path, capsys, text, *flags)
+        assert code == expected_exit, (flags, printed)
         assert cover == library.cover, flags
         if name == "no_solution":
-            assert f"no hazard-free cover exists: {library.error}\n" in err
+            assert printed == f"{library.error}\n", flags
+
+
+UNSOLVABLE = {s: i.pla_text for s, i in STRATA.items() if not i.solvable}
+
+
+def _relabeled(text, name):
+    """The instance of ``text`` under a new name, input order reversed and
+    every other input complemented."""
+    instance = parse_pla(text, name=_name(text)).to_instance()
+    n = instance.n_inputs
+    mask = sum(1 << i for i in range(0, n, 2))
+    variant = permute_instance(flip_instance(instance, mask), tuple(reversed(range(n))))
+    variant.name = name
+    return format_pla(variant)
+
+
+@pytest.mark.parametrize("case, text", UNSOLVABLE.items(), ids=list(UNSOLVABLE))
+def test_cached_no_solution_names_the_requester(daemon, case, text):
+    """A cache hit answers in the resubmitter's name and labels.
+
+    The verdict is cached under the canonical key of the first request;
+    a renamed, permuted and flipped resubmission hits that entry, and its
+    ``error`` must be byte-identical to an uncached run of the same text.
+    """
+    first = daemon.minimize(text)
+    assert first["status"] == "no_solution"
+    variant = _relabeled(text, f"{case}-renamed")
+    cached = daemon.minimize(variant)
+    fresh = daemon.minimize(variant, no_cache=True)
+    assert cached["cached"] is True and fresh["cached"] is False
+    assert cached["status"] == fresh["status"] == "no_solution"
+    assert cached["error"] == fresh["error"] == _library(variant, None).error
+    assert cached["error"].startswith(f"{case}-renamed: ")
 
 
 def test_cli_timeout_and_usage_exit_codes(tmp_path, capsys):

@@ -5,7 +5,9 @@ results; with ``jobs > 1`` the sub-runs execute on a worker-process pool
 (:func:`repro.guard.runner.run_pool`).  The contract under test: the
 parallel sweep is *merge-identical* to the serial one, statuses merge
 worst-of, and a shared budget in serial mode degrades the whole sweep
-gracefully mid-flight.
+gracefully mid-flight.  A Theorem 4.1 failure in one output raises the
+same :class:`NoSolutionError` in both modes, in the instance's own name
+and output index.
 """
 
 import pytest
@@ -14,8 +16,10 @@ from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.cubes.cover import Cover
 from repro.cubes.cube import Cube
 from repro.guard.budget import RunBudget
+from repro.guard.errors import NoSolutionError
+from repro.hazards import HazardFreeInstance, Transition
 from repro.hazards.verify import verify_hazard_free_cover
-from repro.hf import EspressoHFOptions, espresso_hf_per_output
+from repro.hf import EspressoHFOptions, espresso_hf, espresso_hf_per_output
 from repro.hf.espresso_hf import merge_output_results
 from repro.hf.result import HFResult
 from repro.perf import PerfCounters
@@ -159,3 +163,33 @@ class TestParallelExecution:
         assert sorted(e.outbits for e in parallel.essentials) == sorted(
             e.outbits for e in serial.essentials
         )
+
+
+def _unsolvable_second_output():
+    """Output 0 is ``a`` (solvable); output 1 is the Theorem 4.1 gadget of
+    ``tests.test_hazards.unsolvable_instance``."""
+    on = Cover.from_strings(["1-- 10", "11- 01", "-10 01"])
+    off = Cover.from_strings(["0-- 10", "10- 01", "011 01"])
+    transitions = [
+        Transition((1, 1, 1), (1, 0, 0)),
+        Transition((0, 1, 0), (1, 1, 0)),
+    ]
+    return HazardFreeInstance(on, off, transitions, name="second-fails")
+
+
+class TestNoSolution:
+    """A failing output is reported in the whole instance's terms."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_names_the_instance_and_its_output(self, jobs):
+        instance = _unsolvable_second_output()
+        with pytest.raises(NoSolutionError) as multi:
+            espresso_hf(instance)
+        with pytest.raises(NoSolutionError) as per_output:
+            espresso_hf_per_output(instance, EspressoHFOptions(jobs=jobs))
+        assert str(per_output.value) == str(multi.value) == (
+            "second-fails: no hazard-free cover exists (Theorem 4.1); "
+            "offending required cubes: -10 (output 1)"
+        )
+        assert per_output.value.failures == multi.value.failures
+        assert per_output.value.failures[0].output == 1

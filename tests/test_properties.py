@@ -16,7 +16,6 @@ from repro.cubes.operations import cube_sharp
 from repro.espresso import all_primes, complement, espresso, tautology
 from repro.espresso.irredundant import irredundant_cover
 from repro.espresso.tautology import cover_contains_cube
-from repro.hazards import hazard_free_solution_exists
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import HFContext, NoSolutionError, espresso_hf
 from repro.proptest.database import bundle_on_failure
@@ -27,6 +26,7 @@ from repro.proptest.strategies import (
     instances,
     solvable_instances,
 )
+from tests.existence_ref import existence_report as reference_existence_report
 
 #: single-output instances for the dhf-supercube unit laws
 SINGLE_OUT = InstanceConfig(max_inputs=4, max_outputs=1, max_on_cubes=5)
@@ -205,13 +205,15 @@ class TestEndToEndInvariants:
 
     @given(instances())
     def test_solvability_agreement(self, inst):
-        """The driver refuses exactly the Theorem 4.1-unsolvable instances."""
-        exists = hazard_free_solution_exists(inst)
+        """The driver refuses exactly the instances the scalar Theorem 4.1
+        oracle calls unsolvable, naming the cubes the oracle names."""
+        reference = reference_existence_report(inst)
         try:
             espresso_hf(inst)
-            assert exists
-        except NoSolutionError:
-            assert not exists
+            assert reference.exists
+        except NoSolutionError as exc:
+            assert not reference.exists
+            assert exc.failures == reference.failures
 
     @given(solvable_instances())
     def test_hf_cover_cubes_are_dhf_prime(self, inst):
