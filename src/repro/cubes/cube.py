@@ -93,6 +93,11 @@ class Cube:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Cube is immutable")
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the default slot-state restore
+        # would go through the __setattr__ above.
+        return (type(self), (self.n_inputs, self.inbits, self.outbits, self.n_outputs))
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

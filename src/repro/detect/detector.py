@@ -10,11 +10,20 @@ evaluation; an ``X`` output is a hazard, a wrong definite value is a
 functional mismatch.  Vertex points (no ``X``) double as functional
 endpoint checks.
 
-Points are judged in batches of up to :data:`CHECK_EVERY`: one dual-rail
-sweep (:meth:`~repro.detect.netlist.Netlist.eval_dual_rail`) gives the
-netlist's Kleene value at every point of the batch, then the points are
-walked in enumeration order with the stable value computed on integer
-rows (:func:`~repro.detect.ternary.stable_rows`) until the first failure.
+An exhaustive transition of up to :data:`LATTICE_TRITS` changing inputs
+is judged once for all outputs (:func:`_judge_exhaustive`): a lattice of
+the function's stable values at all ``3^k`` points
+(:func:`_stable_lattice`) and one dual-rail sweep of the whole netlist
+(:meth:`~repro.detect.netlist.Netlist.eval_dual_rail_all`); each output
+then reads its first failing point off one mask compare.  Every other
+transition is walked per output (:func:`_walk`) — a sampled one because
+one seeded rng draws every output's points in turn, a wider exhaustive
+one so that work stops at each output's first failure: batches of up to
+:data:`CHECK_EVERY` points, one dual-rail sweep of the output's cone per
+batch (:meth:`~repro.detect.netlist.Netlist.eval_dual_rail`), and the
+stable value point by point on integer rows
+(:func:`~repro.detect.ternary.stable_rows`) until the first failure.
+Both end in :func:`_conclude`: budget checkpoints, counters, witness.
 
 Two modes:
 
@@ -42,13 +51,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import islice, product
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cubes.cover import Cover
 from repro.cubes.cube import LITERAL_DC, mask01, minterm_bits
 from repro.detect.netlist import Netlist
-from repro.detect.ternary import cofactor_rows, point_string, stable_rows
+from repro.detect.ternary import point_string, stable_rows
 from repro.guard.budget import RunBudget
 from repro.guard.errors import BudgetExceeded
 from repro.hazards.instance import HazardFreeInstance
@@ -69,6 +88,12 @@ TRACE_LIMIT = 16
 
 #: Budget checkpoints run every this many examined points.
 CHECK_EVERY = 64
+
+#: An exhaustive transition of at most this many changing inputs is
+#: judged once for all outputs; a wider one is walked per output.  At 7,
+#: the lattice and every gate mask of the sweep hold at most 2187 bits
+#: per output.
+LATTICE_TRITS = 7
 
 
 @dataclass(frozen=True)
@@ -212,50 +237,31 @@ class _Counters:
             counter.inc(n)
 
 
-def _transition_points(
-    transition: Transition,
-    mode: str,
-    max_points: int,
-    rng: random.Random,
-) -> Tuple[Iterable[Tuple[int, ...]], int, bool]:
-    """Yield trit assignments for the changing variables.
+def _sampled_points(
+    transition: Transition, max_points: int, rng: random.Random
+) -> Iterator[Tuple[int, ...]]:
+    """A seeded sample of a transition's trit assignments: the endpoints
+    and the all-``X`` point, then distinct draws from ``rng``, at most
+    ``max_points`` in all.
 
-    A trit is 0 (start value), 1 (end value), or 2 (``X``).  Returns
-    ``(iterator, total, exhaustive)``.
+    A trit is 0 (start value), 1 (end value), or 2 (``X``).  The rng is
+    drawn from only as the points are taken.
     """
     k = len(transition.changing)
-    total = 3 ** k
-    if mode == "exhaustive" or total <= max_points:
-        def full():
-            assign = [0] * k
-            while True:
-                yield tuple(assign)
-                for i in range(k):
-                    assign[i] += 1
-                    if assign[i] < 3:
-                        break
-                    assign[i] = 0
-                else:
-                    return
-        return full(), total, True
-
-    def sampled():
-        # The endpoints and the all-X point are always examined.
-        yield (0,) * k
-        yield (1,) * k
-        yield (2,) * k
-        seen = {(0,) * k, (1,) * k, (2,) * k}
-        budget = max_points - len(seen)
-        attempts = 0
-        while budget > 0 and attempts < 8 * max_points:
-            attempts += 1
-            cand = tuple(rng.randrange(3) for _ in range(k))
-            if cand in seen:
-                continue
-            seen.add(cand)
-            budget -= 1
-            yield cand
-    return sampled(), total, False
+    yield (0,) * k
+    yield (1,) * k
+    yield (2,) * k
+    seen = {(0,) * k, (1,) * k, (2,) * k}
+    budget = max_points - len(seen)
+    attempts = 0
+    while budget > 0 and attempts < 8 * max_points:
+        attempts += 1
+        cand = tuple(rng.randrange(3) for _ in range(k))
+        if cand in seen:
+            continue
+        seen.add(cand)
+        budget -= 1
+        yield cand
 
 
 def _algebra_class(netlist: Netlist, transition: Transition, output: int) -> str:
@@ -320,6 +326,19 @@ def _witness(
     )
 
 
+def _point(transition: Transition, assign: Sequence[int]) -> Tuple[Optional[int], ...]:
+    """The ternary point of a trit assignment to the changing inputs."""
+    point: List[Optional[int]] = list(transition.start)
+    for pos, trit in zip(transition.changing, assign):
+        point[pos] = None if trit == 2 else (transition.start, transition.end)[trit][pos]
+    return tuple(point)
+
+
+#: A failing point: its trits, the function's stable value there, and the
+#: netlist's value (``None`` for ``X``).
+Failure = Tuple[Tuple[int, ...], int, Optional[int]]
+
+
 def detect_netlist(
     netlist: Netlist,
     on: Cover,
@@ -346,10 +365,12 @@ def detect_netlist(
     tracer = current_tracer()
     span = tracer.start("detect", netlist=netlist.name) if tracer else None
     supports = [netlist.support(j) for j in range(netlist.n_outputs)]
-    on_rows = [[c.inbits for c in cover] for cover in on.split_outputs()]
-    off_rows = [[c.inbits for c in cover] for cover in off.split_outputs()]
+    on_rows = [(c.inbits, c.outbits) for c in on]
+    off_rows = [(c.inbits, c.outbits) for c in off]
     rng = random.Random(options.seed)
     budget = options.budget
+    if budget is not None:
+        budget.start()  # a deadline counts from here, not the first checkpoint
     exhausted = False
     try:
         for t_index, t in enumerate(transitions):
@@ -358,34 +379,50 @@ def detect_netlist(
                     f"transition {t_index} has {len(t.start)} inputs, "
                     f"netlist {netlist.name!r} has {netlist.n_inputs}"
                 )
+            total = 3 ** len(t.changing)
+            exhaustive = options.mode == "exhaustive" or total <= options.max_points
+            once = exhaustive and len(t.changing) <= LATTICE_TRITS
+            rows = judged = None
             for j in range(netlist.n_outputs):
                 if exhausted:
                     report.verdicts.append(
-                        TransitionVerdict(
-                            t, j, STATUS_SKIPPED, 3 ** len(t.changing), 0, False
-                        )
+                        TransitionVerdict(t, j, STATUS_SKIPPED, total, 0, False)
                     )
                     _Counters.bump(counters.skipped)
                     continue
                 try:
-                    verdict = _detect_one(
-                        netlist,
-                        on_rows[j],
-                        off_rows[j],
-                        t,
-                        j,
-                        supports[j],
-                        options,
-                        rng,
-                        counters,
-                        budget,
-                    )
+                    _Counters.bump(counters.transitions)
+                    if budget is not None:
+                        budget.charge_iteration("detect")
+                    if rows is None:
+                        rows = _TransitionRows(t, on_rows, off_rows)
+                    if not (rows.constrained >> j) & 1:
+                        # An endpoint value is don't-care for this output:
+                        # the transition has no TransitionKind, so the
+                        # specification places no hazard requirement on it
+                        # (Theorem 2.11 derives required cubes only for
+                        # defined kinds) and the detector asserts nothing.
+                        verdict = TransitionVerdict(
+                            t, j, STATUS_UNCONSTRAINED, total, 0, True
+                        )
+                    else:
+                        if not once:
+                            checked, failure, walked_all = _walk(
+                                netlist, t, rows, j, supports[j], exhaustive,
+                                options, rng,
+                            )
+                        else:
+                            if judged is None:
+                                judged = _judge_exhaustive(netlist, t, rows, supports)
+                            (checked, failure), walked_all = judged[j], True
+                        verdict = _conclude(
+                            netlist, t, j, total, checked, walked_all, failure,
+                            options, counters, budget,
+                        )
                 except BudgetExceeded:
                     exhausted = True
                     report.budget_exhausted = True
-                    verdict = TransitionVerdict(
-                        t, j, STATUS_SKIPPED, 3 ** len(t.changing), 0, False
-                    )
+                    verdict = TransitionVerdict(t, j, STATUS_SKIPPED, total, 0, False)
                     _Counters.bump(counters.skipped)
                 report.verdicts.append(verdict)
     finally:
@@ -399,76 +436,277 @@ def detect_netlist(
     return report
 
 
-def _detect_one(
+class _TransitionRows:
+    """The specification rows that meet one transition's cube.
+
+    ``on``/``off`` are ``(inbits, outbits)`` rows of the multi-output
+    covers that meet the transition cube, intersected with it (rows
+    missing it cannot decide any of its points, and what a row holds
+    outside it decides none either), ``constrained`` the output mask
+    whose value is specified at both endpoints.  ``base`` is the start
+    minterm with the changing pairs cleared, and ``lits`` holds per
+    changing input its start, end and ``X`` pair.
+    """
+
+    __slots__ = ("on", "off", "constrained", "base", "lits")
+
+    def __init__(self, transition, on_rows, off_rows):
+        base = minterm_bits(transition.start)
+        lits = []
+        for p in transition.changing:
+            pair = LITERAL_DC << (2 * p)
+            lits.append((base & pair, pair & ~base, pair))
+            base &= ~pair
+        self.base, self.lits = base, lits
+        inside = base | sum(lit[2] for lit in lits)
+        self.on, self.off = (
+            self._meet(rows, base, inside) for rows in (on_rows, off_rows)
+        )
+        self.constrained = self.specified(minterm_bits(transition.start)) & (
+            self.specified(minterm_bits(transition.end))
+        )
+
+    @staticmethod
+    def _meet(rows, base: int, inside: int) -> List[Tuple[int, int]]:
+        """The rows that meet the cube — they admit every stable input's
+        value, i.e. hold each bit of ``base`` — cut down to it; rows that
+        then agree are merged, their output masks ORed."""
+        merged: Dict[int, int] = {}
+        for r, ob in [row for row in rows if row[0] & base == base]:
+            merged[r & inside] = merged.get(r & inside, 0) | ob
+        return list(merged.items())
+
+    def specified(self, minterm: int) -> int:
+        """Outputs whose ON or OFF rows contain ``minterm``."""
+        out = 0
+        for r, ob in self.on + self.off:
+            if r & minterm == minterm:
+                out |= ob
+        return out
+
+
+def _conclude(
     netlist: Netlist,
-    on_rows: List[int],
-    off_rows: List[int],
     transition: Transition,
     output: int,
-    support: frozenset,
+    total: int,
+    checked: int,
+    exhaustive: bool,
+    failure: Optional[Failure],
     options: DetectOptions,
-    rng: random.Random,
     counters: _Counters,
     budget: Optional[RunBudget],
 ) -> TransitionVerdict:
+    """The verdict of one judged (transition, output) pair.
+
+    Both judges end here.  The pair's budget checkpoints fire first, one
+    per :data:`CHECK_EVERY` points examined — before the counters move,
+    so a checkpoint that blows leaves them as the per-point loop would —
+    then the counters, the witness and the advisory algebra class.
+    """
+    if budget is not None:
+        for _ in range(checked // CHECK_EVERY):
+            budget.checkpoint("detect")
+    status, witness = STATUS_CLEAN, None
+    if failure is not None:
+        assign, expected, got = failure
+        if got is None:
+            _Counters.bump(counters.hazards)
+            status = STATUS_HAZARD
+        else:
+            _Counters.bump(counters.mismatches)
+            status = STATUS_MISMATCH
+        point = _point(transition, assign)
+        witness = _witness(netlist, transition, point, output, expected, got)
+    _Counters.bump(counters.points, checked)
+    algebra = _algebra_class(netlist, transition, output) if options.algebra else None
+    return TransitionVerdict(
+        transition, output, status, total, checked, exhaustive, witness, algebra
+    )
+
+
+@lru_cache(maxsize=None)
+def _trit_masks(k: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Per trit position ``i < k``, the masks of the ``3^k`` points whose
+    trit ``i`` is 0, 1 and 2 (point ``b`` has trit ``i`` =
+    ``b // 3^i % 3``, the enumeration order of :func:`_all_points`)."""
+    size = 3 ** k
+    masks = []
+    for i in range(k):
+        p = 3 ** i
+        period = sum(1 << m for m in range(0, size, 3 * p))
+        run = (1 << p) - 1
+        masks.append(tuple(period * (run << (t * p)) for t in range(3)))
+    return tuple(masks)
+
+
+def _all_points(k: int) -> Iterator[Tuple[int, ...]]:
+    """Every trit assignment of a ``k``-variable transition, trit 0
+    varying fastest: point ``b`` has trit ``i`` = ``b // 3^i % 3``."""
+    return (assign[::-1] for assign in product(range(3), repeat=k))
+
+
+def _stable_lattice(
+    rows: _TransitionRows, transition: Transition, n_outputs: int
+) -> Tuple[int, int]:
+    """Where the function is stable 1 and stable 0 at the ``3^k`` points
+    of one transition, for every output at once: one int per stable
+    value, output ``j``'s point mask at bits ``j*3^k`` and up.  Two
+    steps:
+
+    * **vertex table** — the vertices (points without ``X``) each row of
+      ``rows.on`` (``rows.off``) contains, ORed into the blocks of the
+      outputs the row belongs to;
+    * **lattice** — a point is stable at ``v`` iff both of its halves
+      are: ``S(x) = S(x|Xᵢ=0) ∧ S(x|Xᵢ=1)``.  Taking the trits low to
+      high keeps every lookup final: one shift-AND of the packed int per
+      trit.
+
+    Where both hold (the covers overlap) the value is 1, as in
+    :func:`~repro.detect.ternary.stable_rows`.
+    """
+    changing, start = transition.changing, transition.start
+    size = 3 ** len(changing)
+    trits = _trit_masks(len(changing))
+    vertex = (1 << size) - 1
+    for t0, t1, _ in trits:
+        vertex &= t0 | t1
+    # The trit-2 masks repeated once per output block.
+    repeat = sum(1 << (j * size) for j in range(n_outputs))
+    x_masks = [x * repeat for _, _, x in trits]
+    # Per changing input: its pair's shift and the literal code of its
+    # start value (0 ↦ 01, 1 ↦ 10); the end value's code is the other.
+    codes = [(2 * pos, 1 << start[pos]) for pos in changing]
+
+    def lattice(cover_rows):
+        blocks = [0] * n_outputs
+        for r, ob in cover_rows:
+            vm = vertex
+            for (shift, code), (t0, t1, _) in zip(codes, trits):
+                lit = (r >> shift) & 3
+                if lit != LITERAL_DC:
+                    vm &= t0 if lit == code else t1
+            while ob:
+                low = ob & -ob
+                blocks[low.bit_length() - 1] |= vm
+                ob ^= low
+        packed = 0
+        for block in reversed(blocks):
+            packed = (packed << size) | block
+        for i, x in enumerate(x_masks):
+            p = 3 ** i
+            packed |= (packed << p) & (packed << (2 * p)) & x
+        return packed
+
+    return lattice(rows.on), lattice(rows.off)
+
+
+def _judge_exhaustive(
+    netlist: Netlist,
+    transition: Transition,
+    rows: _TransitionRows,
+    supports: Sequence[FrozenSet[int]],
+) -> Dict[int, Tuple[int, Optional[Failure]]]:
+    """``(points checked, first failure)`` of every constrained output at
+    all ``3^k`` points of one transition (``k <=`` :data:`LATTICE_TRITS`),
+    from work done once.
+
+    The stable values come from :func:`_stable_lattice`; the netlist's
+    values from one dual-rail sweep of the whole netlist over all the
+    points (:meth:`~repro.detect.netlist.Netlist.eval_dual_rail_all`).  An
+    output fails where the function is stable and the netlist is not at
+    that value, one mask compare per output; its first failing point gives
+    ``points_checked``.  An output whose cone misses every changing input
+    is judged at the two endpoints only, as the walk does.
+    """
+    changing, start = transition.changing, transition.start
+    k = len(changing)
+    size = 3 ** k
+    every = (1 << size) - 1
+    stable1, stable0 = _stable_lattice(rows, transition, netlist.n_outputs)
+    can1 = [every if v else 0 for v in start]
+    can0 = [0 if v else every for v in start]
+    for pos, (t0, t1, t2) in zip(changing, _trit_masks(k)):
+        at1, at0 = (t0, t1) if start[pos] else (t1, t0)
+        can1[pos], can0[pos] = t2 | at1, t2 | at0
+    swept = netlist.eval_dual_rail_all(can1, can0, size)
+    endpoints = 1 | 1 << (size - 1) // 2  # the all-0 and the all-1 point
+    found: Dict[int, Tuple[int, Optional[Failure]]] = {}
+    for j, (one, zero) in enumerate(swept):
+        if not (rows.constrained >> j) & 1:
+            continue
+        inside = bool(supports[j] & set(changing))
+        e1 = (stable1 >> (j * size)) & every
+        e0 = (stable0 >> (j * size)) & every & ~e1
+        fail = (e1 & (~one | zero)) | (e0 & (~zero | one))
+        if not inside:
+            fail &= endpoints
+        if not fail:
+            found[j] = (size if inside else 2, None)
+            continue
+        b = (fail & -fail).bit_length() - 1
+        got = None if (one & zero) >> b & 1 else (one >> b) & 1
+        assign = tuple(b // 3 ** i % 3 for i in range(k))
+        checked = b + 1 if inside else (1 if b == 0 else 2)
+        found[j] = (checked, (assign, (e1 >> b) & 1, got))
+    return found
+
+
+def _walk(
+    netlist: Netlist,
+    transition: Transition,
+    rows: _TransitionRows,
+    output: int,
+    support: FrozenSet[int],
+    exhaustive: bool,
+    options: DetectOptions,
+    rng: random.Random,
+) -> Tuple[int, Optional[Failure], bool]:
+    """``(points checked, first failure, exhaustive)`` of one output,
+    walked on its own over a seeded sample of a transition's points, or
+    over all of them when ``exhaustive``.
+
+    One rng serves every sampled (transition, output) pair in order, so a
+    sampled transition cannot be judged once for all outputs; nor can an
+    exhaustive one too wide for :func:`_judge_exhaustive`, whose points
+    are walked instead, stopping at each output's first failure.  Batches
+    of up to :data:`CHECK_EVERY` points, one dual-rail sweep of the
+    output's cone per batch, and the stable value point by point on the
+    output's rows (:func:`~repro.detect.ternary.stable_rows`) until the
+    first failure.  An output whose cone misses every changing input is
+    judged at the two endpoints only.
+
+    Before each batch the walk stops if the budget checkpoints owed for
+    the points so far would raise: :func:`_conclude` then fires them, and
+    the pair ends as if each had fired on its 64th point.
+    """
     changing = transition.changing
     k = len(changing)
-    start, end = transition.start, transition.end
+    start = transition.start
     n = netlist.n_inputs
-    _Counters.bump(counters.transitions)
-    if budget is not None:
-        budget.charge_iteration("detect")
-
     m01 = mask01(n)
     full = m01 | (m01 << 1)
-
-    # A transition whose endpoint value is don't-care for this output has
-    # no TransitionKind: the specification places no hazard requirement on
-    # it (Theorem 2.11 derives required cubes only for defined kinds), so
-    # the detector must not assert either.
-    if any(
-        stable_rows(on_rows, off_rows, minterm_bits(vec), full, n) is None
-        for vec in (start, end)
-    ):
-        return TransitionVerdict(
-            transition, output, STATUS_UNCONSTRAINED, 3 ** k, 0, True
-        )
-
-    # Fast path: the output cone does not see any changing variable, so
-    # only the two endpoints need a functional check.
-    relevant = support & set(changing)
-    mode = options.mode
-    points, total, exhaustive = _transition_points(
-        transition,
-        "exhaustive" if mode == "exhaustive" else "sampled",
-        options.max_points,
-        rng,
-    )
-    if not relevant:
+    on_t = [r for r, ob in rows.on if (ob >> output) & 1]
+    off_t = [r for r, ob in rows.off if (ob >> output) & 1]
+    if not support & set(changing):
         points, exhaustive = iter(((0,) * k, (1,) * k)), True
+    elif exhaustive:
+        points = _all_points(k)
+    else:
+        points = _sampled_points(transition, options.max_points, rng)
     # Batches draw up to CHECK_EVERY points ahead; a sampled walk that
     # stops early rewinds the shared rng to just after its last point.
     rng_state = None if exhaustive else rng.getstate()
-
-    # Point encoding: the stable inputs give the base mask, and each
-    # changing variable contributes its start, end or X pair per trit.
-    # Rows that miss the whole transition cube drop out once here.
-    base = minterm_bits(start)
-    lits = []
-    for p in changing:
-        pair = LITERAL_DC << (2 * p)
-        lits.append((base & pair, pair & ~base, pair))
-        base &= ~pair
-    cube = base | sum(lit[2] for lit in lits)
-    on_t = cofactor_rows(on_rows, cube, 0, m01)
-    off_t = cofactor_rows(off_rows, cube, 0, m01)
+    base, lits = rows.base, rows.lits
+    budget = options.budget
 
     checked = 0
-    outcome: Optional[TransitionVerdict] = None
-    while outcome is None:
+    while True:
+        if budget is not None and budget.would_raise(checked // CHECK_EVERY):
+            return checked, None, exhaustive
         batch = list(islice(points, CHECK_EVERY))
         if not batch:
-            break
+            return checked, None, exhaustive
         every = (1 << len(batch)) - 1
         can1 = [every if v else 0 for v in start]
         can0 = [0 if v else every for v in start]
@@ -480,15 +718,13 @@ def _detect_one(
                 if trit == 2:
                     can1[pos] |= bit
                     can0[pos] |= bit
-                elif (start, end)[trit][pos]:
+                elif (start, transition.end)[trit][pos]:
                     can1[pos] |= bit
                 else:
                     can0[pos] |= bit
         out1, out0 = netlist.eval_dual_rail(output, can1, can0, len(batch))
         for b, assign in enumerate(batch):
             checked += 1
-            if budget is not None and checked % CHECK_EVERY == 0:
-                budget.checkpoint("detect")
             d, lift = base, full
             for lit, trit in zip(lits, assign):
                 d |= lit[trit]
@@ -502,49 +738,12 @@ def _detect_one(
                 got = None
             elif got == expected:
                 continue
-            point = list(start)
-            for pos, trit in zip(changing, assign):
-                point[pos] = None if trit == 2 else (start, end)[trit][pos]
-            if got is None:
-                _Counters.bump(counters.hazards)
-                status = STATUS_HAZARD
-            else:
-                _Counters.bump(counters.mismatches)
-                status = STATUS_MISMATCH
-            outcome = TransitionVerdict(
-                transition,
-                output,
-                status,
-                total,
-                checked,
-                exhaustive,
-                _witness(netlist, transition, tuple(point), output, expected, got),
-            )
             if rng_state is not None:
                 rng.setstate(rng_state)
-                replay, _, _ = _transition_points(
-                    transition, "sampled", options.max_points, rng
-                )
+                replay = _sampled_points(transition, options.max_points, rng)
                 for _ in islice(replay, checked):
                     pass
-            break
-    _Counters.bump(counters.points, checked)
-    if outcome is None:
-        outcome = TransitionVerdict(
-            transition, output, STATUS_CLEAN, total, checked, exhaustive
-        )
-    if options.algebra:
-        outcome = TransitionVerdict(
-            outcome.transition,
-            outcome.output,
-            outcome.status,
-            outcome.points_total,
-            outcome.points_checked,
-            outcome.exhaustive,
-            outcome.witness,
-            _algebra_class(netlist, transition, output),
-        )
-    return outcome
+            return checked, (assign, expected, got), exhaustive
 
 
 def detect_cover(

@@ -18,11 +18,15 @@ Design notes
   :mod:`repro.simulate.ternary`: ``None`` is the unstable value ``X``; an
   AND with a controlling 0 is 0 and an OR with a controlling 1 is 1 even
   when other fan-ins are ``X``.
-* :meth:`Netlist.eval_dual_rail` is the same Kleene evaluation for up to
-  64 points at once, over one output's fan-in cone: each wire carries a
-  can-be-1 and a can-be-0 point mask (``X`` sets both).  The detector
-  runs it; :meth:`Netlist.eval_gates_ternary` stays the per-point oracle
-  and produces the witness traces.
+* :meth:`Netlist.eval_dual_rail` is the same Kleene evaluation for any
+  number of points at once, over one output's fan-in cone: each wire
+  carries a can-be-1 and a can-be-0 point mask (``X`` sets both).
+  :meth:`Netlist.eval_dual_rail_all` runs the same sweep once over the
+  fan-in of every output.  The detector runs both;
+  :meth:`Netlist.eval_gates_ternary` stays the per-point oracle and
+  produces the witness traces.
+* Each output's fan-in is walked once and cached: the same walk gives
+  the cone the sweep runs and the inputs :meth:`Netlist.support` reports.
 * ``from_cover`` builds the canonical two-level realization (shared NOT
   gates on complemented inputs, one AND per distinct product, one OR per
   output).  :meth:`Netlist.products` is the one decoder of that shape:
@@ -61,6 +65,10 @@ _NULLARY = ("input", "const0", "const1")
 #: One product of a two-level output: ``(input index, phase)`` literals,
 #: phase 1 = positive.
 Product = Tuple[Tuple[int, int], ...]
+
+#: The logic gates of a fan-in cone in topological order, as
+#: ``(index, op, fanin)``.
+Cone = Tuple[Tuple[int, str, Tuple[int, ...]], ...]
 
 
 class NetlistError(MalformedInstance):
@@ -162,7 +170,7 @@ class Netlist:
         self.outputs = outputs
         self._index = index
         self._depths: Optional[Tuple[int, ...]] = None
-        self._cones: Dict[int, Tuple[Tuple[int, str, Tuple[int, ...]], ...]] = {}
+        self._cones: Dict[Optional[int], Tuple[FrozenSet[int], Cone]] = {}
         self._products: Dict[int, Tuple[Product, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -201,19 +209,7 @@ class Netlist:
 
     def support(self, output: int) -> FrozenSet[int]:
         """Primary inputs in the cone of ``outputs[output]``."""
-        seen = set()
-        stack = [self.outputs[output]]
-        inputs = set()
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            g = self.gates[i]
-            if g.op == "input":
-                inputs.add(i)
-            stack.extend(g.fanin)
-        return frozenset(inputs)
+        return self._fanin(output)[0]
 
     def gate_named(self, name: str) -> int:
         try:
@@ -318,11 +314,23 @@ class Netlist:
         Returns the output's ``(can1, can0)``; a point with both bits set
         is ``X`` — exactly :meth:`eval_gates_ternary` at that point.
         """
+        one, zero = self._sweep(self._fanin(output)[1], can1, can0, width)
+        root = self.outputs[output]
+        return one[root], zero[root]
+
+    def eval_dual_rail_all(
+        self, can1: Sequence[int], can0: Sequence[int], width: int
+    ) -> List[Tuple[int, int]]:
+        """:meth:`eval_dual_rail` of every output from one sweep over the
+        gates that feed any output; one ``(can1, can0)`` pair per output."""
+        one, zero = self._sweep(self._fanin(None)[1], can1, can0, width)
+        return [(one[o], zero[o]) for o in self.outputs]
+
+    def _sweep(
+        self, cone: Cone, can1: Sequence[int], can0: Sequence[int], width: int
+    ) -> Tuple[List[int], List[int]]:
         self._check_inputs(can1)
         self._check_inputs(can0)
-        cone = self._cones.get(output)
-        if cone is None:
-            cone = self._cones[output] = self._cone(self.outputs[output])
         every = (1 << width) - 1
         one = list(can1) + [0] * (len(self.gates) - self.n_inputs)
         zero = list(can0) + [0] * (len(self.gates) - self.n_inputs)
@@ -345,24 +353,32 @@ class Netlist:
                 a, b = 0, every
             one[i] = a
             zero[i] = b
-        root = self.outputs[output]
-        return one[root], zero[root]
+        return one, zero
 
-    def _cone(self, root: int) -> Tuple[Tuple[int, str, Tuple[int, ...]], ...]:
-        """The logic gates feeding ``root`` (itself included), in
-        topological order, as ``(index, op, fanin)``."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            for f in self.gates[stack.pop()].fanin:
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        return tuple(
-            (i, self.gates[i].op, self.gates[i].fanin)
-            for i in sorted(seen)
-            if self.gates[i].op != "input"
-        )
+    def _fanin(self, output: Optional[int]) -> Tuple[FrozenSet[int], Cone]:
+        """The fan-in of ``outputs[output]`` (of every output for
+        ``None``), walked once and cached: its primary inputs, and its
+        logic gates in topological order as ``(index, op, fanin)``."""
+        cached = self._cones.get(output)
+        if cached is None:
+            roots = self.outputs if output is None else (self.outputs[output],)
+            seen = set(roots)
+            stack = list(seen)
+            while stack:
+                for f in self.gates[stack.pop()].fanin:
+                    if f not in seen:
+                        seen.add(f)
+                        stack.append(f)
+            gates = self.gates
+            cached = self._cones[output] = (
+                frozenset(i for i in seen if gates[i].op == "input"),
+                tuple(
+                    (i, gates[i].op, gates[i].fanin)
+                    for i in sorted(seen)
+                    if gates[i].op != "input"
+                ),
+            )
+        return cached
 
     # ------------------------------------------------------------------
     # conversions

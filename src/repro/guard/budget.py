@@ -106,6 +106,22 @@ class RunBudget:
         if self.wall_s is not None and self.elapsed_s() > self.wall_s:
             self._exhaust(f"wall-clock deadline {self.wall_s:g}s reached", phase)
 
+    def would_raise(self, n: int) -> bool:
+        """Whether one of ``n`` checkpoints fired now would raise.
+
+        Lets a caller that fires its checkpoints after a stretch of work
+        stop that work early: the checkpoints it then fires raise exactly
+        as if each had fired on time.
+        """
+        return n > 0 and (
+            self.exhausted_reason is not None
+            or (
+                self.max_checkpoints is not None
+                and self.checkpoints + n > self.max_checkpoints
+            )
+            or (self.wall_s is not None and self.elapsed_s() > self.wall_s)
+        )
+
     def charge_iteration(self, phase: str = "loop") -> None:
         """Charge one inner-loop iteration against ``max_iterations``."""
         self.iterations += 1

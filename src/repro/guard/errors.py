@@ -66,6 +66,11 @@ class NoSolutionError(HFError, RuntimeError):
             )
         )
 
+    def __reduce__(self):
+        # The default reduce passes the message as the only argument,
+        # which would become the name of a second message.
+        return (type(self), (self.name, self.failures))
+
 
 class BudgetExceeded(HFError, RuntimeError):
     """A run budget was exhausted before any valid cover existed.

@@ -1,19 +1,22 @@
 """Per-point reference for the gate-level detector.
 
-:func:`repro.detect.detect_netlist` judges a transition with integer-row
-stability (each point one input mask, a meet test and ``r | raise`` per ON
-and OFF row) and with one dual-rail sweep of the output's cone per batch
-of 64 points.  This module keeps the original loop verbatim: one ternary
-point at a time, :func:`~repro.detect.ternary.stable_value` over ``Cube``
-covers and a full Kleene sweep of the netlist for every point.  It is the
-oracle ``tests/test_detect_batch.py`` compares against.  Nothing in
-``src/`` imports it.
+:func:`repro.detect.detect_netlist` judges a narrow exhaustive
+transition for every output at once (a lattice of stable values and one
+dual-rail sweep of the whole netlist) and walks any other one per output
+(integer-row stability, one dual-rail sweep of the output's cone per
+batch of 64 points).  This module keeps the original loop: one ternary
+point and one output at a time,
+:func:`~repro.detect.ternary.stable_value` over ``Cube`` covers and a
+full Kleene sweep of the netlist for every point, with its own exhaustive
+point enumeration :func:`transition_points`.  It is the oracle
+``tests/test_detect_batch.py`` compares against.  Nothing in ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.cubes.cover import Cover
 from repro.detect.detector import (
@@ -28,7 +31,7 @@ from repro.detect.detector import (
     TransitionVerdict,
     _algebra_class,
     _Counters,
-    _transition_points,
+    _sampled_points,
     _witness,
 )
 from repro.detect.netlist import Netlist
@@ -102,6 +105,35 @@ def detect_netlist(
     return report
 
 
+def transition_points(
+    transition: Transition,
+    mode: str,
+    max_points: int,
+    rng: random.Random,
+) -> Tuple[Iterable[Tuple[int, ...]], int, bool]:
+    """Yield trit assignments for the changing variables.
+
+    A trit is 0 (start value), 1 (end value), or 2 (``X``).  Returns
+    ``(iterator, total, exhaustive)``.
+    """
+    k = len(transition.changing)
+    total = 3 ** k
+    if mode == "exhaustive" or total <= max_points:
+        def full():
+            assign = [0] * k
+            while True:
+                yield tuple(assign)
+                for i in range(k):
+                    assign[i] += 1
+                    if assign[i] < 3:
+                        break
+                    assign[i] = 0
+                else:
+                    return
+        return full(), total, True
+    return _sampled_points(transition, max_points, rng), total, False
+
+
 def detect_one(
     netlist: Netlist,
     on_j: Cover,
@@ -135,7 +167,7 @@ def detect_one(
 
     relevant = support & set(changing)
     mode = options.mode
-    points, total, exhaustive = _transition_points(
+    points, total, exhaustive = transition_points(
         transition,
         "exhaustive" if mode == "exhaustive" else "sampled",
         options.max_points,

@@ -1,5 +1,8 @@
 """Unit tests for the Cube bitmask encoding and algebra."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.cubes import Cube, LITERAL_DC, LITERAL_ONE, LITERAL_ZERO, LITERAL_EMPTY
@@ -214,3 +217,20 @@ class TestOrderingAndHashing:
 
     def test_str_multi_output(self):
         assert str(Cube.from_string("1-0", "01")) == "1-0 01"
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize(
+        "cube",
+        [Cube.from_string("1-0"), Cube.from_string("0-1~", "101"), Cube(0, 0)],
+        ids=["single", "multi", "empty"],
+    )
+    def test_round_trips_keep_the_cube(self, cube):
+        for clone in (
+            pickle.loads(pickle.dumps(cube)),
+            copy.copy(cube),
+            copy.deepcopy(cube),
+        ):
+            assert clone == cube and hash(clone) == hash(cube)
+            assert (clone.n_inputs, clone.n_outputs) == (cube.n_inputs, cube.n_outputs)
+            assert str(clone) == str(cube)

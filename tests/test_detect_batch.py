@@ -1,19 +1,24 @@
 """Differential: the bit-parallel detector against the per-point reference.
 
-:func:`repro.detect.detect_netlist` encodes each ternary point as one
-input mask, judges function stability on integer rows and evaluates the
-netlist with one dual-rail sweep per batch of up to 64 points.
-``tests/detect_ref.py`` keeps the loop this replaced: one point at a time,
-``stable_value`` over ``Cube`` covers and a Kleene sweep per point.  The
-three layers are checked separately — the sweep against
-``eval_gates_ternary``, the row stability against ``stable_value`` — and
-then whole reports, counters included, against the reference.
+:func:`repro.detect.detect_netlist` judges an exhaustive transition of
+up to ``LATTICE_TRITS`` changing inputs for every output at once: a
+lattice of stable values over all ``3^k`` points and one dual-rail sweep
+of the whole netlist.  Every other transition is walked per output: one
+dual-rail sweep of the output's cone per batch of up to 64 points, and
+function stability on integer rows point by point.
+``tests/detect_ref.py`` keeps the loop both replaced: one point and one
+output at a time, ``stable_value`` over ``Cube`` covers and a Kleene
+sweep per point.  The layers are checked separately — the sweeps against
+``eval_gates_ternary``, the row stability and the lattice against
+``stable_value`` — and then whole reports, counters included, against
+the reference.
 """
 
 import copy
 import dataclasses
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -26,9 +31,13 @@ from repro.detect import (
     Netlist,
     STATUS_CLEAN,
     STATUS_HAZARD,
+    STATUS_MISMATCH,
     STATUS_SKIPPED,
+    STATUS_UNCONSTRAINED,
     detect_netlist,
 )
+from repro.detect import detector
+from repro.detect.detector import CHECK_EVERY, _point, _stable_lattice, _TransitionRows
 from repro.detect.mutate import NETLIST_DEFECTS
 from repro.detect.ternary import stable_rows, stable_value
 from repro.guard.budget import RunBudget
@@ -128,6 +137,10 @@ def assert_sweep_matches_kleene(netlist: Netlist, rng: random.Random, batches: i
                     netlist.eval_gates_ternary(point)[o]
                 ]
                 assert got == want, (netlist.name, j, point)
+        assert netlist.eval_dual_rail_all(can1, can0, len(points)) == [
+            netlist.eval_dual_rail(j, can1, can0, len(points))
+            for j in range(netlist.n_outputs)
+        ]
 
 
 def _small_netlists():
@@ -161,6 +174,21 @@ class TestDualRailSweep:
         cone = netlist._cones[0]
         netlist.eval_dual_rail(0, [0] * 4, [1] * 4, 1)
         assert netlist._cones[0] is cone
+
+    def test_support_comes_from_the_cached_walk(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            netlist = random_netlist(rng, rng.randint(1, 6), rng.randint(1, 12))
+            for j, root in enumerate(netlist.outputs):
+                seen, stack = set(), [root]
+                while stack:
+                    i = stack.pop()
+                    if i not in seen:
+                        seen.add(i)
+                        stack.extend(netlist.gates[i].fanin)
+                want = {i for i in seen if netlist.gates[i].op == "input"}
+                assert netlist.support(j) == want
+                assert netlist.support(j) is netlist._cones[j][0]
 
 
 class TestRowStability:
@@ -326,3 +354,257 @@ def test_sampled_rng_continues_after_hazard_break():
     assert [v["status"] for v in want["verdicts"]] == [
         "hazard", "hazard", "clean", "clean", "hazard", "clean", "hazard",
     ]
+
+
+def _rows(cover):
+    return [(c.inbits, c.outbits) for c in cover]
+
+
+class TestStableLattice:
+    def test_matches_stable_value_at_every_point(self):
+        """Random specs with don't-cares, half of them with OFF overlapping
+        ON."""
+        rng = random.Random(24)
+        for i in range(30):
+            n = rng.randint(1, 6)
+            n_out = rng.randint(1, 3)
+            on, off = random_spec(rng, n, n_outputs=n_out, overlap=0.3 * (i % 2))
+            start = tuple(rng.randint(0, 1) for _ in range(n))
+            transitions = [Transition(start, start)]
+            transitions += random_transitions(rng, n, 3, 4)
+            for t in transitions:
+                rows = _TransitionRows(t, _rows(on), _rows(off))
+                k = len(t.changing)
+                size = 3 ** k
+                stable1, stable0 = _stable_lattice(rows, t, n_out)
+                assert stable1 >> (n_out * size) == stable0 >> (n_out * size) == 0
+                for b in range(size):
+                    point = _point(t, [b // 3 ** i % 3 for i in range(k)])
+                    for j in range(n_out):
+                        if (stable1 >> (j * size + b)) & 1:
+                            got = 1
+                        elif (stable0 >> (j * size + b)) & 1:
+                            got = 0
+                        else:
+                            got = None
+                        assert got == stable_value(point, on, off, j), (t, b, j)
+
+
+def _split_case():
+    """Four inputs, six outputs, and the transition 1011 -> 0111 (x0 and
+    x1 change, x2 = x3 = 1 hold), on which the outputs split:
+
+    * f0: the start point is don't-care — unconstrained;
+    * f1 = x2 on the gate x2 — outside the changing inputs, clean;
+    * f2 = x0 on the gate x3 — outside them, wrong at the end point;
+    * f3 = x0·x2 + x0'·x3 — a static-1 hazard at X0;
+    * f4 = x1 on x1·x0' — wrong at the vertex 11 (the fourth point);
+    * f5 = x2' on the gate x2 — wrong at the start point.
+    """
+    gates = [Gate(f"x{i}", "input") for i in range(4)]
+    gates += [
+        Gate("nx0", "not", (0,)),
+        Gate("g0", "and", (1, 4)),
+        Gate("a", "and", (0, 2)),
+        Gate("b", "and", (4, 3)),
+        Gate("g3", "or", (6, 7)),
+        Gate("g4", "and", (4, 1)),
+    ]
+    netlist = Netlist(4, gates, [5, 2, 3, 8, 9, 2], name="split")
+    spec = [
+        (["01--"], ["00--"]),
+        (["--1-"], ["--0-"]),
+        (["1---"], ["0---"]),
+        (["1-1-", "0--1"], ["1-0-", "0--0"]),
+        (["-1--"], ["-0--"]),
+        (["--0-"], ["--1-"]),
+    ]
+    on, off = Cover(4, n_outputs=6), Cover(4, n_outputs=6)
+    for j, (on_cubes, off_cubes) in enumerate(spec):
+        outputs = "".join("1" if i == j else "0" for i in range(6))
+        for cover, cubes in ((on, on_cubes), (off, off_cubes)):
+            for text in cubes:
+                cover.append(Cube.from_string(text, outputs))
+    t = Transition((1, 0, 1, 1), (0, 1, 1, 1))
+    return netlist, on, off, [t, t.reversed()]
+
+
+class TestPerTransitionJudge:
+    """Risks of judging a transition once for all outputs instead of once
+    per output: outputs of one transition that need different handling,
+    every width of the lattice and the walk above it, and budgets that
+    blow between two outputs of one transition."""
+
+    def test_outputs_of_one_transition_split_across_statuses(self):
+        netlist, on, off, transitions = _split_case()
+        report = assert_same_report(netlist, on, off, transitions, DetectOptions())
+        first = report.verdicts[:6]
+        assert [(v.status, v.points_checked) for v in first] == [
+            (STATUS_UNCONSTRAINED, 0),
+            (STATUS_CLEAN, 2),
+            (STATUS_MISMATCH, 2),
+            (STATUS_HAZARD, 3),
+            (STATUS_MISMATCH, 4),
+            (STATUS_MISMATCH, 1),
+        ]
+        assert first[3].witness.point == "X011"
+        assert first[4].witness.point == "1111"
+        for options in (
+            DetectOptions(mode="exhaustive", algebra=True),
+            DetectOptions(max_points=4, seed=1),
+            DetectOptions(budget=RunBudget(max_checkpoints=0)),
+        ):
+            assert_same_report(netlist, on, off, transitions, options)
+
+    def test_every_width_exhaustive(self):
+        """k = 0..7 on a 7-input spec, auto mode and exhaustive above
+        ``max_points``."""
+        rng = random.Random(23)
+        n = detector.LATTICE_TRITS
+        on, off = random_spec(rng, n, n_outputs=2)
+        transitions = []
+        for k in range(n + 1):
+            start = tuple(rng.randint(0, 1) for _ in range(n))
+            flip = set(rng.sample(range(n), k))
+            end = tuple(1 - v if i in flip else v for i, v in enumerate(start))
+            transitions.append(Transition(start, end))
+        netlist = Netlist.from_cover(on, name="widths")
+        mutants = [d.mutate(netlist, 1) for d in NETLIST_DEFECTS.values()]
+        statuses = set()
+        for nl in [netlist] + [m for m in mutants if m is not None]:
+            for options in (
+                DetectOptions(),
+                DetectOptions(mode="exhaustive", max_points=5, seed=3),
+            ):
+                report = assert_same_report(nl, on, off, transitions, options)
+                assert all(v.exhaustive for v in report.verdicts)
+                statuses.update(v.status for v in report.verdicts)
+        assert {STATUS_CLEAN, STATUS_HAZARD, STATUS_MISMATCH} <= statuses
+
+    def test_wider_exhaustive_is_walked_per_output(self):
+        """Above ``LATTICE_TRITS`` changing inputs an exhaustive transition
+        is walked per output over every point, in the reference's order.
+        Ten inputs, x1 = x2 = 1 held and the other eight flipped: the mux
+        ``x0·x1 + x0'·x2`` has its static-1 hazard at the third point, and
+        ``x3`` is clean at all 3^8."""
+        n = 10
+        on, off = Cover(n, n_outputs=2), Cover(n, n_outputs=2)
+        for cover, cubes in (
+            (on, [("11" + "-" * 8, "10"), ("0-1" + "-" * 7, "10"), ("---1" + "-" * 6, "01")]),
+            (off, [("10" + "-" * 8, "10"), ("0-0" + "-" * 7, "10"), ("---0" + "-" * 6, "01")]),
+        ):
+            for text, outputs in cubes:
+                cover.append(Cube.from_string(text, outputs))
+        start = (0, 1, 1, 0, 1, 0, 1, 0, 1, 0)
+        t = Transition(start, tuple(v if i in (1, 2) else 1 - v for i, v in enumerate(start)))
+        assert len(t.changing) == detector.LATTICE_TRITS + 1
+        netlist = Netlist.from_cover(on, name="walked")
+        for options in (
+            DetectOptions(mode="exhaustive"),
+            DetectOptions(mode="exhaustive", budget=RunBudget(max_checkpoints=200)),
+        ):
+            report = assert_same_report(netlist, on, off, [t], options)
+            assert [(v.status, v.points_checked, v.exhaustive) for v in report.verdicts] == [
+                (STATUS_HAZARD, 3, True),
+                (STATUS_CLEAN, 3 ** 8, True),
+            ]
+
+    def test_overlapping_covers_decide_for_on(self):
+        """Where OFF overlaps ON the stable value is 1 in both judges."""
+        rng = random.Random(25)
+        for _ in range(8):
+            n = rng.randint(3, 6)
+            on, off = random_spec(rng, n, n_outputs=3, overlap=0.5)
+            transitions = random_transitions(rng, n, 6, 4)
+            netlist = Netlist.from_cover(on, name="overlap")
+            for options in MODES:
+                assert_same_report(netlist, on, off, transitions, options)
+
+    @pytest.mark.parametrize("cap", ["checkpoints", "iterations"])
+    def test_budget_blows_between_outputs(self, cap):
+        """Cap values spread up to the run's total, so exhaustion lands on
+        several outputs of the transitions, with exhaustive and sampled
+        transitions interleaved."""
+        rng = random.Random(23)
+        on, off = random_spec(rng, 6, n_outputs=3)
+        transitions = random_transitions(rng, 6, 10, 5)
+        netlist = Netlist.from_cover(on, name="budget")
+        mutated = NETLIST_DEFECTS["widened_cube"].mutate(netlist, 2)
+        for options in (DetectOptions(mode="exhaustive"), DetectOptions(max_points=100, seed=5)):
+            for nl in (netlist, mutated):
+                probe = _with_registry(dataclasses.replace(options, budget=RunBudget()))
+                ref.detect_netlist(nl, on, off, transitions, probe)
+                total = getattr(probe.budget, cap)
+                assert total >= 3
+                values = set(range(0, total, max(1, total // 10))) | {total - 1, total}
+                for value in sorted(values):
+                    budget = RunBudget(**{f"max_{cap}": value})
+                    report = assert_same_report(
+                        nl, on, off, transitions, dataclasses.replace(options, budget=budget)
+                    )
+                    assert report.budget_exhausted == (value < total)
+
+
+def _wide_case(k: int):
+    """``f = x0`` over ``k`` inputs, its realization, and the transition
+    that flips them all: ``3^k`` points, clean at every one."""
+    on = Cover(k, [Cube.from_string("1" + "-" * (k - 1))])
+    off = Cover(k, [Cube.from_string("0" + "-" * (k - 1))])
+    netlist = Netlist.from_cover(on, name="wide")
+    return netlist, on, off, [Transition((0,) * k, (1,) * k)]
+
+
+class TestBudgetBoundsTheWork:
+    """A blown budget stops the work, not just the report: a wide
+    exhaustive or a long sampled walk ends within a batch or so of the
+    point where its checkpoints blow, instead of walking all of its
+    points first."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The widths of the dual-rail sweeps run: points swept per call."""
+        widths = []
+        for name in ("eval_dual_rail", "eval_dual_rail_all"):
+            sweep = getattr(Netlist, name)
+
+            def counted(self, *args, _sweep=sweep):
+                widths.append(args[-1])
+                return _sweep(self, *args)
+
+            monkeypatch.setattr(Netlist, name, counted)
+        return widths
+
+    @pytest.mark.parametrize(
+        "options",
+        [DetectOptions(mode="exhaustive"), DetectOptions(mode="sampled", max_points=10**6)],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_passed_deadline_stops_a_wide_walk(self, options, sweeps):
+        netlist, on, off, transitions = _wide_case(14)
+        budget = RunBudget(wall_s=1e-9)
+        began = time.perf_counter()
+        report = detect_netlist(
+            netlist, on, off, transitions, dataclasses.replace(options, budget=budget)
+        )
+        assert time.perf_counter() - began < 5.0
+        assert report.budget_exhausted
+        assert [v.status for v in report.verdicts] == [STATUS_SKIPPED]
+        assert sum(sweeps) <= 2 * CHECK_EVERY
+
+    def test_checkpoint_cap_stops_a_wide_walk(self, sweeps):
+        netlist, on, off, transitions = _wide_case(12)
+        options = DetectOptions(mode="exhaustive", budget=RunBudget(max_checkpoints=3))
+        report = assert_same_report(netlist, on, off, transitions, options)
+        assert report.budget_exhausted
+        # Two runs: the fast one sweeps four batches, the reference none.
+        assert sweeps == [CHECK_EVERY] * 4
+
+    def test_unspent_budget_walks_to_the_end(self):
+        netlist, on, off, transitions = _wide_case(8)
+        options = DetectOptions(mode="exhaustive", budget=RunBudget(wall_s=60.0))
+        report = detect_netlist(netlist, on, off, transitions, options)
+        assert not report.budget_exhausted
+        assert [(v.status, v.points_checked) for v in report.verdicts] == [
+            (STATUS_CLEAN, 3 ** 8)
+        ]
+        assert options.budget.checkpoints == 3 ** 8 // CHECK_EVERY

@@ -11,6 +11,8 @@ criterion must name the same failing cubes, in the same words as the
 heuristic's :class:`NoSolutionError`.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -82,3 +84,20 @@ def test_exact_flow_names_the_same_cubes(instance):
         with pytest.raises(NoSolutionError) as info:
             espresso_hf(instance)
         assert exact.detail == str(info.value)
+
+
+def test_no_solution_error_pickles_with_its_failures():
+    """The error and its RequiredCubes cross a pickle boundary unchanged:
+    the same message (not wrapped in a second one), name and failures."""
+    instance = next(_parsed(e) for e in CORPUS if not e.solvable)
+    with pytest.raises(NoSolutionError) as info:
+        espresso_hf(instance)
+    error = info.value
+    assert error.failures
+    for q in error.failures:
+        assert pickle.loads(pickle.dumps(q)) == q
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is NoSolutionError
+    assert str(clone) == str(error)
+    assert clone.name == error.name == instance.name
+    assert clone.failures == error.failures

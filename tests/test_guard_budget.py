@@ -55,6 +55,33 @@ class TestRunBudget:
         with pytest.raises(BudgetExceeded, match="wall-clock"):
             b.checkpoint("reduce")
 
+    def test_would_raise_predicts_the_checkpoints(self):
+        """``would_raise(n)`` is True exactly when one of ``n`` checkpoints
+        fired now raises, and fires none itself."""
+        for cap in (0, 2, 5):
+            for n in range(8):
+                b = RunBudget(max_checkpoints=cap)
+                if cap:
+                    b.checkpoint()
+                done = b.checkpoints
+                predicted = b.would_raise(n)
+                assert b.checkpoints == done
+                try:
+                    for _ in range(n):
+                        b.checkpoint()
+                    raised = False
+                except BudgetExceeded:
+                    raised = True
+                assert predicted == raised, (cap, n)
+        late = RunBudget(wall_s=0.0)
+        late.start()
+        assert not late.would_raise(0) and late.would_raise(1)
+        assert not RunBudget(wall_s=60.0).would_raise(100)
+        blown = RunBudget(max_iterations=0)
+        with pytest.raises(BudgetExceeded):
+            blown.charge_iteration()
+        assert blown.would_raise(1)
+
     def test_reset_restores_capacity(self):
         b = RunBudget(max_checkpoints=1)
         b.checkpoint()
