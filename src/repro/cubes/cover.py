@@ -106,11 +106,6 @@ class Cover:
         n_out = cubes[0].n_outputs
         return cls(n_inputs, cubes, n_out)
 
-    @classmethod
-    def empty_like(cls, other: "Cover") -> "Cover":
-        """An empty cover with the same shape as ``other``."""
-        return cls(other.n_inputs, (), other.n_outputs)
-
     def copy(self) -> "Cover":
         clone = Cover(self.n_inputs, (), self.n_outputs)
         clone.cubes = list(self.cubes)
@@ -181,10 +176,6 @@ class Cover:
     def contains_cube(self, cube: Cube) -> bool:
         """True iff some single cube of the cover contains ``cube``."""
         return any(c.contains(cube) for c in self.cubes)
-
-    def intersects_cube(self, cube: Cube) -> bool:
-        """True iff some cube of the cover intersects ``cube``."""
-        return any(c.intersects(cube) for c in self.cubes)
 
     def cubes_intersecting(self, cube: Cube) -> List[Cube]:
         """All cover cubes that intersect ``cube``."""

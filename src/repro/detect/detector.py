@@ -264,8 +264,9 @@ def _sampled_points(
         yield cand
 
 
-def _algebra_class(netlist: Netlist, transition: Transition, output: int) -> str:
-    """Advisory 8-valued (Eichelberger/BDN) class of one output.
+def _algebra_classes(netlist: Netlist, transition: Transition) -> List[str]:
+    """Advisory 8-valued (Eichelberger/BDN) class of every output, from
+    one evaluation of the netlist over the transition.
 
     Exact for fan-out-free netlists and two-level covers; conservative
     (may overflag) under reconvergent fan-out.
@@ -290,7 +291,7 @@ def _algebra_class(netlist: Netlist, transition: Transition, output: int) -> str
             for f in g.fanin:
                 v = wor(v, values[f])
             values.append(v)
-    return values[netlist.outputs[output]].name
+    return [values[o].name for o in netlist.outputs]
 
 
 def _witness(
@@ -382,7 +383,7 @@ def detect_netlist(
             total = 3 ** len(t.changing)
             exhaustive = options.mode == "exhaustive" or total <= options.max_points
             once = exhaustive and len(t.changing) <= LATTICE_TRITS
-            rows = judged = None
+            rows = judged = classes = None
             for j in range(netlist.n_outputs):
                 if exhausted:
                     report.verdicts.append(
@@ -415,9 +416,11 @@ def detect_netlist(
                             if judged is None:
                                 judged = _judge_exhaustive(netlist, t, rows, supports)
                             (checked, failure), walked_all = judged[j], True
+                        if options.algebra and classes is None:
+                            classes = _algebra_classes(netlist, t)
                         verdict = _conclude(
                             netlist, t, j, total, checked, walked_all, failure,
-                            options, counters, budget,
+                            classes[j] if classes else None, counters, budget,
                         )
                 except BudgetExceeded:
                     exhausted = True
@@ -493,16 +496,17 @@ def _conclude(
     checked: int,
     exhaustive: bool,
     failure: Optional[Failure],
-    options: DetectOptions,
+    algebra: Optional[str],
     counters: _Counters,
     budget: Optional[RunBudget],
 ) -> TransitionVerdict:
-    """The verdict of one judged (transition, output) pair.
+    """The verdict of one judged (transition, output) pair, carrying the
+    output's advisory ``algebra`` class (``None`` when not asked for).
 
     Both judges end here.  The pair's budget checkpoints fire first, one
     per :data:`CHECK_EVERY` points examined — before the counters move,
     so a checkpoint that blows leaves them as the per-point loop would —
-    then the counters, the witness and the advisory algebra class.
+    then the counters and the witness.
     """
     if budget is not None:
         for _ in range(checked // CHECK_EVERY):
@@ -519,7 +523,6 @@ def _conclude(
         point = _point(transition, assign)
         witness = _witness(netlist, transition, point, output, expected, got)
     _Counters.bump(counters.points, checked)
-    algebra = _algebra_class(netlist, transition, output) if options.algebra else None
     return TransitionVerdict(
         transition, output, status, total, checked, exhaustive, witness, algebra
     )

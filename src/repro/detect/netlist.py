@@ -111,7 +111,7 @@ class Netlist:
     """
 
     __slots__ = (
-        "name", "n_inputs", "gates", "outputs", "_index", "_depths", "_cones",
+        "name", "n_inputs", "gates", "outputs", "_depths", "_cones",
         "_products",
     )
 
@@ -168,7 +168,6 @@ class Netlist:
         self.n_inputs = n_inputs
         self.gates = gates
         self.outputs = outputs
-        self._index = index
         self._depths: Optional[Tuple[int, ...]] = None
         self._cones: Dict[Optional[int], Tuple[FrozenSet[int], Cone]] = {}
         self._products: Dict[int, Tuple[Product, ...]] = {}
@@ -210,12 +209,6 @@ class Netlist:
     def support(self, output: int) -> FrozenSet[int]:
         """Primary inputs in the cone of ``outputs[output]``."""
         return self._fanin(output)[0]
-
-    def gate_named(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise NetlistError(f"{self.name}: no gate named {name!r}")
 
     # ------------------------------------------------------------------
     # evaluation

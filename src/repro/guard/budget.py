@@ -82,12 +82,6 @@ class RunBudget:
             return 0.0
         return time.perf_counter() - self.started_at
 
-    def remaining_s(self) -> Optional[float]:
-        """Seconds left on the wall-clock cap (None when uncapped)."""
-        if self.wall_s is None:
-            return None
-        return self.wall_s - self.elapsed_s()
-
     def checkpoint(self, phase: str = "") -> None:
         """Cooperative check; raises :class:`BudgetExceeded` on any blown cap.
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional
 
 from repro.guard.errors import InvariantViolation, NoSolutionError
@@ -209,15 +209,11 @@ def probe_failure(
     from repro.hazards.verify import verify_hazard_free_cover
     from repro.hf.espresso_hf import EspressoHFOptions, espresso_hf
 
-    base = options or EspressoHFOptions()
-    probe_options = EspressoHFOptions(
-        use_essentials=base.use_essentials,
-        use_last_gasp=base.use_last_gasp,
-        make_prime=base.make_prime,
-        exact_irredundant=base.exact_irredundant,
-        irredundant_node_limit=base.irredundant_node_limit,
-        max_outer_iterations=base.max_outer_iterations,
-        budget=None,  # replay uncapped: budgets would mask the failure
+    # Every recorded option (``passes`` included) carries over; the replay
+    # runs uncapped, since a budget would mask the failure.
+    probe_options = replace(
+        options or EspressoHFOptions(),
+        budget=None,
         checked=True,
         coverage_fault_hook=fault_hook,
     )

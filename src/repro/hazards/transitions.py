@@ -68,9 +68,6 @@ class Transition:
     def start_cube(self) -> Cube:
         return Cube.minterm(self.start)
 
-    def end_cube(self) -> Cube:
-        return Cube.minterm(self.end)
-
     def __str__(self) -> str:
         return f"{''.join(map(str, self.start))}->{''.join(map(str, self.end))}"
 

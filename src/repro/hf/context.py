@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cubes.cube import Cube
+from repro.cubes.containment import maximal
 from repro.cubes.cover import CoverColumns
 from repro.guard.budget import RunBudget
 from repro.guard.errors import NoSolutionError
@@ -24,33 +25,9 @@ from repro.hazards.instance import (
 )
 from repro.hf.coverage import CoverageIndex
 from repro.perf import PerfCounters
-from repro._compat import popcount
 
 #: cache sentinel distinguishing "not computed" from a computed ``None``
 _MISSING = object()
-
-
-def _maximal_off_bits(bits: List[int]) -> List[int]:
-    """Drop OFF cubes contained in another cube of the same list.
-
-    In the 2-bits-per-variable encoding ``o1 ⊆ o2`` iff
-    ``o1 & o2 == o1``; a contained cube intersects ``r`` only when its
-    container does, so it never decides an intersects-OFF test.  Exact
-    duplicates keep their first occurrence.  Scanning widest-first means
-    a kept cube can never be contained in a later one, so one pass
-    against the kept list suffices.
-    """
-    order = sorted(range(len(bits)), key=lambda i: -popcount(bits[i]))
-    kept_ranks: List[int] = []
-    kept: List[int] = []
-    for i in order:
-        o = bits[i]
-        if any(o & k == o for k in kept):
-            continue
-        kept_ranks.append(i)
-        kept.append(o)
-    kept_ranks.sort()
-    return [bits[i] for i in kept_ranks]
 
 
 def _off_rows(off: CoverColumns, cubes: int, m01: int) -> List[int]:
@@ -134,10 +111,10 @@ class HFContext:
         # concatenation and scalar scan.  10-36% of OFF cubes are
         # redundant on the benchmark suite.
         off = instance.off_columns
-        self._off_bits_by_output = [
-            _maximal_off_bits(_off_rows(off, off.by_output[j], m01))
-            for j in range(self.n_outputs)
-        ]
+        self._off_bits_by_output = []
+        for j in range(self.n_outputs):
+            rows = _off_rows(off, off.by_output[j], m01)
+            self._off_bits_by_output.append([rows[i] for i in maximal(rows)])
         self._priv_bits_cache: Dict[int, List[Tuple[int, int]]] = {}
         self._off_bits_cache: Dict[int, List[int]] = {}
         self._rep_env_cache: Dict[int, tuple] = {}
@@ -172,10 +149,6 @@ class HFContext:
         """
         if self.budget is not None:
             self.budget.checkpoint(phase)
-
-    def record_phase(self, name: str, cover_size: int) -> None:
-        """Append one phase-boundary line to the run trace."""
-        self.trace.append(f"{name}:|F|={cover_size}")
 
     def activate_scalar_fallback(self, phase: str = "") -> None:
         """Degrade coverage queries to the scalar path (checked mode).
@@ -707,12 +680,6 @@ class HFContext:
             self._off_bits_cache[outbits] = cached
         return cached
 
-    def _privs_for(self, outbits: int) -> List[PrivilegedCube]:
-        privs: List[PrivilegedCube] = []
-        for j in self._outputs(outbits):
-            privs.extend(self.priv_by_output[j])
-        return privs
-
     # ------------------------------------------------------------------
     # Canonical required cubes (dhf-canonicalization, §3.2)
     # ------------------------------------------------------------------
@@ -738,24 +705,15 @@ class HFContext:
                 )
         if failures:
             raise NoSolutionError(self.instance.name, failures)
-        return self._scc_minimize(tagged)
-
-    @staticmethod
-    def _scc_minimize(tagged: List[TaggedRequired]) -> List[TaggedRequired]:
-        """Drop canonical cubes contained in another of the same output."""
+        # SCC-minimize per output: drop canonical cubes another of the
+        # same output contains, in (widest, inbits) order per output.
         by_output: Dict[int, List[TaggedRequired]] = {}
         for t in tagged:
             by_output.setdefault(t.output, []).append(t)
         kept: List[TaggedRequired] = []
-        for j, group in sorted(by_output.items()):
-            group = sorted(
-                group, key=lambda t: (-t.canonical.num_dc(), t.canonical.inbits)
-            )
-            chosen: List[TaggedRequired] = []
-            for t in group:
-                if not any(k.canonical.contains_input(t.canonical) for k in chosen):
-                    chosen.append(t)
-            kept.extend(chosen)
+        for _, group in sorted(by_output.items()):
+            group.sort(key=lambda t: (-t.canonical.num_dc(), t.canonical.inbits))
+            kept.extend(group[i] for i in maximal([t.canonical.inbits for t in group]))
         return kept
 
     # ------------------------------------------------------------------

@@ -248,11 +248,6 @@ class CoverageIndex:
     # Convenience views for the operators
     # ------------------------------------------------------------------
 
-    def cover_masks(self, cubes: Sequence, reqs: Sequence) -> List[int]:
-        """Per-cube coverage masks restricted to the ``reqs`` selection."""
-        sel = self.selection_mask(reqs)
-        return [self.covered_bits(c.inbits, c.outbits) & sel for c in cubes]
-
     def covered_subset(self, mask: int, reqs: Sequence) -> List:
         """The members of ``reqs`` selected by ``mask``, in ``reqs`` order."""
         index = self._index

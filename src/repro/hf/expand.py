@@ -21,10 +21,12 @@ or that can never be legally reached) are exactly the cases the memoized
 chain resolves without growth, so they are not duplicated here.
 
 The gain functions are bit-parallel.  Phase 1 ranks candidates by how many
-other cover cubes they absorb: the cover is transposed once into per-bit
-masks over cube slots, so a candidate's absorbed set is an AND/OR chain
-over its *missing* bits plus one popcount — O(|F|) big-int words per
-candidate instead of an O(|F|) Python scan with per-pair method calls.
+other cover cubes they absorb: per ``expand_one`` call the cover slots are
+transposed into per-bit masks (``repro.cubes.cover._bit_columns``, the
+transpose behind ``CoverColumns``), so a candidate's absorbed set is an
+AND/OR chain over its *missing* bits plus one popcount — O(|F|) big-int
+words per candidate instead of an O(|F|) Python scan with per-pair method
+calls.
 Phase 2 ranks candidates by newly covered required cubes:
 ``covered_bits(candidate) & uncovered`` replaces the per-pair
 ``ctx.covers`` scan.  Both phases preserve the scalar tie-breaking exactly
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.cubes.cover import _bit_columns
 from repro.cubes.cube import Cube, full_input_mask
 from repro.hf.context import _MISSING, HFContext, TaggedRequired
 from repro._compat import popcount
@@ -69,34 +72,6 @@ def expand_cover(
     return [c for c in slots if c is not None]
 
 
-def _transpose_slots(slots: Sequence[Optional[Cube]], ctx: HFContext):
-    """Per-bit slot masks: which live slots have input/output bit ``b`` set.
-
-    With these, "slots NOT contained in a candidate" is the OR of the masks
-    of the candidate's missing bits — the containment test for all |F|
-    cubes at once.
-    """
-    in_by_bit = [0] * (2 * ctx.n_inputs)
-    out_by_bit = [0] * ctx.n_outputs
-    alive = 0
-    for k, d in enumerate(slots):
-        if d is None:
-            continue
-        bit = 1 << k
-        alive |= bit
-        b = d.inbits
-        while b:
-            low = b & -b
-            in_by_bit[low.bit_length() - 1] |= bit
-            b ^= low
-        ob = d.outbits
-        while ob:
-            low = ob & -ob
-            out_by_bit[low.bit_length() - 1] |= bit
-            ob ^= low
-    return alive, in_by_bit, out_by_bit
-
-
 def expand_one(
     cube: Cube,
     idx: int,
@@ -110,8 +85,15 @@ def expand_one(
     perf = ctx.perf
     full_in = full_input_mask(ctx.n_inputs)
     full_out = (1 << ctx.n_outputs) - 1
-    alive, in_by_bit, out_by_bit = _transpose_slots(slots, ctx)
-    others = alive & ~(1 << idx)
+    # Per-bit slot masks (a dead slot has no bits): the live slots NOT
+    # contained in a candidate are the OR of its missing bits' masks.
+    in_by_bit = _bit_columns(
+        [0 if d is None else d.inbits for d in slots], 2 * ctx.n_inputs
+    )
+    out_by_bit = _bit_columns(
+        [0 if d is None else d.outbits for d in slots], ctx.n_outputs
+    )
+    others = sum(1 << k for k, d in enumerate(slots) if d is not None and k != idx)
 
     def contained_mask(cand_in: int, cand_out: int) -> int:
         """Live slots (except ``idx``) wholly contained in the candidate."""
@@ -185,7 +167,6 @@ def expand_one(
             low = m & -m
             slots[low.bit_length() - 1] = None
             m ^= low
-        alive &= ~best_mask
         others &= ~best_mask
     perf.expand_probes += probes
     perf.supercube_calls += sc_hits

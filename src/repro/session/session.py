@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.cubes.cube import Cube
 from repro.hazards.instance import HazardFreeInstance
@@ -114,14 +114,6 @@ class MinimizationSession:
         return [
             Cube(self.n_inputs, inbits, outbits, self.n_outputs)
             for inbits, outbits in self.essentials
-        ]
-
-    def best_cubes(self) -> Optional[List[Cube]]:
-        if self.best is None:
-            return None
-        return [
-            Cube(self.n_inputs, inbits, outbits, self.n_outputs)
-            for inbits, outbits in self.best
         ]
 
     # ------------------------------------------------------------------
@@ -235,7 +227,3 @@ def capture_session(
         iterations=iterations,
         status="ok",
     )
-
-
-def _as_pair_list(value) -> List[Tuple[int, int]]:
-    return [(int(a), int(b)) for a, b in value]

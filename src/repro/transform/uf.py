@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.cubes.containment import maximal
 from repro.cubes.cube import Cube, LITERAL_DC, mask01
 from repro.cubes.cover import Cover
 from repro.detect.netlist import Netlist
@@ -112,22 +113,6 @@ def _expand_rows(inbits: int, off_rows: Sequence[int], n_inputs: int) -> int:
     return inbits
 
 
-def _maximal_cubes(cubes: Sequence[Cube]) -> List[Cube]:
-    """Drop duplicates and cubes strictly contained in another (inputs)."""
-    unique: Dict[int, Cube] = {}
-    for c in cubes:
-        unique.setdefault(c.inbits, c)
-    out: List[Cube] = []
-    for c in unique.values():
-        if any(
-            o.inbits != c.inbits and o.contains_input(c)
-            for o in unique.values()
-        ):
-            continue
-        out.append(c)
-    return out
-
-
 def transform_instance(
     instance: HazardFreeInstance,
     mode: str = "transitions",
@@ -140,7 +125,8 @@ def transform_instance(
         raise ValueError(f"unknown transform mode {mode!r}")
     t0 = time.perf_counter()
     n, n_out = instance.n_inputs, instance.n_outputs
-    per_output: Dict[int, List[Cube]] = {j: [] for j in range(n_out)}
+    # the input parts of the candidate cubes, per output
+    per_output: Dict[int, List[int]] = {j: [] for j in range(n_out)}
     if mode == "transitions":
         off_rows = [
             [c.inbits for c in off_j] for off_j in instance.off.split_outputs()
@@ -149,7 +135,7 @@ def transform_instance(
             if budget is not None:
                 budget.checkpoint("transform")
             inbits = _expand_rows(rq.cube.inbits, off_rows[rq.output], n)
-            per_output[rq.output].append(Cube(n, inbits, 1, 1))
+            per_output[rq.output].append(inbits)
     else:
         deadline = None
         if budget is not None and budget.wall_s is not None:
@@ -164,11 +150,14 @@ def transform_instance(
                     f"{instance.name}: complete-sum u(f) exploded on "
                     f"output {j}: {exc}"
                 )
-            per_output[j].extend(primes)
+            per_output[j].extend(p.inbits for p in primes)
     by_inbits: Dict[int, int] = {}
-    for j in range(n_out):
-        for c in _maximal_cubes(per_output[j]):
-            by_inbits[c.inbits] = by_inbits.get(c.inbits, 0) | (1 << j)
+    cubes_by_output: Dict[int, int] = {}
+    for j, rows in per_output.items():
+        kept = maximal(rows)
+        cubes_by_output[j] = len(kept)
+        for i in kept:
+            by_inbits[rows[i]] = by_inbits.get(rows[i], 0) | (1 << j)
     cover = Cover(n, (), n_out)
     for inbits in sorted(by_inbits):
         cover.append(Cube(n, inbits, by_inbits[inbits], n_out))
@@ -184,9 +173,7 @@ def transform_instance(
         cover=cover,
         netlist=netlist,
         elapsed_s=elapsed,
-        cubes_by_output={
-            j: len(_maximal_cubes(per_output[j])) for j in range(n_out)
-        },
+        cubes_by_output=cubes_by_output,
     )
 
 

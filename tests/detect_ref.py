@@ -29,7 +29,6 @@ from repro.detect.detector import (
     DetectionReport,
     DetectOptions,
     TransitionVerdict,
-    _algebra_class,
     _Counters,
     _sampled_points,
     _witness,
@@ -39,6 +38,33 @@ from repro.detect.ternary import stable_value
 from repro.guard.budget import RunBudget
 from repro.guard.errors import BudgetExceeded
 from repro.hazards.transitions import Transition
+from repro.simulate.algebra import W, input_class, wand, wnot, wor
+
+
+def _algebra_class(netlist: Netlist, transition: Transition, output: int) -> str:
+    """The advisory 8-valued class of one output, from its own evaluation
+    of the whole netlist (the detector evaluates once per transition)."""
+    values: List[W] = []
+    for i, g in enumerate(netlist.gates):
+        if g.op == "input":
+            values.append(input_class(transition.start[i], transition.end[i]))
+        elif g.op == "const0":
+            values.append(W.S0)
+        elif g.op == "const1":
+            values.append(W.S1)
+        elif g.op == "not":
+            values.append(wnot(values[g.fanin[0]]))
+        elif g.op == "and":
+            v = W.S1
+            for f in g.fanin:
+                v = wand(v, values[f])
+            values.append(v)
+        else:
+            v = W.S0
+            for f in g.fanin:
+                v = wor(v, values[f])
+            values.append(v)
+    return values[netlist.outputs[output]].name
 
 
 def detect_netlist(

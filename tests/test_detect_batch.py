@@ -456,6 +456,32 @@ class TestPerTransitionJudge:
         ):
             assert_same_report(netlist, on, off, transitions, options)
 
+    def test_algebra_class_of_each_output_from_one_evaluation(self):
+        """The 8-valued class is evaluated once per transition, and every
+        judged verdict still carries its own output's class."""
+        instance = read_pla(str(BENCHMARK_DIR / "dram-ctrl.pla")).to_instance()
+        netlist = Netlist.from_cover(espresso_hf(instance).cover, name="dram-ctrl")
+        assert netlist.n_outputs > 1
+        args = (instance.on, instance.off, instance.transitions)
+        for options in (
+            DetectOptions(algebra=True),
+            DetectOptions(max_points=4, seed=1, algebra=True),
+        ):
+            report = detect_netlist(netlist, *args, options)
+            mixed = False
+            for t in instance.transitions:
+                classes = set()
+                for v in report.verdicts:
+                    if v.transition != t:
+                        continue
+                    want = None
+                    if v.status != STATUS_UNCONSTRAINED:
+                        want = ref._algebra_class(netlist, t, v.output)
+                        classes.add(want)
+                    assert v.algebra == want, (t, v.output)
+                mixed |= len(classes) > 1
+            assert mixed  # outputs of one transition do differ in class
+
     def test_every_width_exhaustive(self):
         """k = 0..7 on a 7-input spec, auto mode and exhaustive above
         ``max_points``."""

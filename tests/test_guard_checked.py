@@ -7,6 +7,7 @@ engine and still produce a verified hazard-free cover, and (c) leave
 behind a shrunk, replayable repro bundle.
 """
 
+import importlib
 import json
 
 import pytest
@@ -142,6 +143,34 @@ class TestBundles:
     def test_probe_failure_detects_injected_fault(self):
         kind = probe_failure(figure3_instance(), fault_hook=drop_a_bit)
         assert kind == "crosscheck_divergence"
+
+    def test_replay_keeps_recorded_passes(self, tmp_path, monkeypatch):
+        """A bundle recorded under a custom pipeline replays (and so
+        shrinks) against that pipeline, not the default one."""
+        # ``repro.hf.espresso_hf`` names the function on the package, so
+        # fetch the module itself.
+        hf_module = importlib.import_module("repro.hf.espresso_hf")
+        seen = []
+        run = hf_module.espresso_hf
+
+        def spy(instance, options=None):
+            seen.append(options)
+            return run(instance, options)
+
+        monkeypatch.setattr(hf_module, "espresso_hf", spy)
+        passes = ("essentials", "loop")
+        options = EspressoHFOptions(passes=passes, use_last_gasp=False)
+        path = write_bundle(
+            figure3_instance(), "crash", "x", options=options,
+            bundle_dir=str(tmp_path),
+        )
+        replay_bundle(path)
+        probe_failure(figure3_instance(), options, fault_hook=drop_a_bit)
+        assert [o.passes for o in seen] == [passes, passes]
+        assert [o.use_last_gasp for o in seen] == [False, False]
+        assert all(o.checked and o.budget is None for o in seen)
+        assert seen[0].coverage_fault_hook is None
+        assert seen[1].coverage_fault_hook is drop_a_bit
 
 
 class TestShrink:
