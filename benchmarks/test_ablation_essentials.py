@@ -7,8 +7,6 @@ runtime and cover size, and counts how many suite circuits are minimized to
 a guaranteed optimum purely by essentials.
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import SMALL_CIRCUITS

@@ -29,15 +29,7 @@ Phase wall-time gates (used by CI's ``bench-essentials`` step)::
 
 ``--from-snapshot`` consumes a *bench JSON snapshot* (the file this
 script writes) — it re-evaluates phase gates without a sweep and is kept
-for CI.  Warm-start state is a different artifact entirely: pass
-``--sessions-dir DIR`` to persist one
-:class:`repro.session.MinimizationSession` per circuit through the
-session capture/restore API (``session.save`` / ``MinimizationSession.
-load``) and, on later runs against the same directory, benchmark warm
-re-minimization from the prior session next to the cold run::
-
-    python scripts/bench_hf.py --sessions-dir artifacts/sessions  # capture
-    python scripts/bench_hf.py --sessions-dir artifacts/sessions  # warm vs cold
+for CI.
 """
 
 from __future__ import annotations
@@ -139,73 +131,6 @@ def run_suite(
         },
         "circuits": rows,
     }
-
-
-def bench_sessions(
-    circuits: Optional[Sequence[str]],
-    sessions_dir: str,
-    quiet: bool = False,
-) -> List[Dict]:
-    """Per-circuit warm-vs-cold timing through session capture/restore.
-
-    Each circuit runs cold (in-process, session captured) and — when
-    ``sessions_dir`` already holds a ``<name>.session.json`` from an
-    earlier invocation — warm from that restored session.  The fresh
-    session is saved back, so consecutive invocations against the same
-    directory measure the identical-resubmit fast path.  Warm covers are
-    byte-compared against the cold cover; a mismatch is reported as a row
-    with ``match: false`` (and fails the run via the caller).
-    """
-    import time
-
-    from repro.bm.benchmarks import build_benchmark
-    from repro.hf import espresso_hf
-    from repro.pla import format_cover
-    from repro.session import MinimizationSession
-
-    rows: List[Dict] = []
-    os.makedirs(sessions_dir, exist_ok=True)
-    for name in suite_names(circuits):
-        inst = build_benchmark(name)
-        path = os.path.join(sessions_dir, f"{name}.session.json")
-        prior = None
-        if os.path.exists(path):
-            try:
-                prior = MinimizationSession.load(path)
-            except (OSError, ValueError) as exc:
-                if not quiet:
-                    print(f"{name:18s} stale session ignored: {exc}")
-        t0 = time.perf_counter()
-        cold = espresso_hf(inst, capture_session=True)
-        t_cold = time.perf_counter() - t0
-        row: Dict = {
-            "name": name,
-            "cold_s": round(t_cold, 6),
-            "warm_s": None,
-            "warm": None,
-            "match": None,
-        }
-        if prior is not None:
-            t0 = time.perf_counter()
-            warm = espresso_hf(inst, warm_start=prior, capture_session=True)
-            row["warm_s"] = round(time.perf_counter() - t0, 6)
-            row["warm"] = warm.warm
-            row["match"] = format_cover(warm.cover) == format_cover(
-                cold.cover
-            )
-        if cold.session is not None:
-            cold.session.save(path)
-        rows.append(row)
-        if not quiet:
-            if row["warm_s"] is None:
-                print(f"{name:18s} cold {t_cold:8.3f}s  session captured")
-            else:
-                flag = "" if row["match"] else "  COVER MISMATCH"
-                print(
-                    f"{name:18s} cold {t_cold:8.3f}s  "
-                    f"warm {row['warm_s']:8.3f}s [{row['warm']}]{flag}"
-                )
-    return rows
 
 
 def write_snapshot(snapshot: Dict, path: str) -> None:
@@ -318,15 +243,7 @@ def main(argv=None) -> int:
         metavar="FILE",
         help="evaluate --phase-budget/--max-phase-share against an "
         "existing bench JSON snapshot instead of running the sweep "
-        "(nothing is written; this is NOT warm-start state — see "
-        "--sessions-dir)",
-    )
-    parser.add_argument(
-        "--sessions-dir",
-        metavar="DIR",
-        help="persist a MinimizationSession per circuit (capture/restore "
-        "API) and, when the directory already holds one, benchmark warm "
-        "re-minimization from it next to the cold run",
+        "(nothing is written)",
     )
     parser.add_argument(
         "--phase-budget",
@@ -396,11 +313,6 @@ def main(argv=None) -> int:
     clean = all(
         r["status"] == "ok" and r.get("verified", True) for r in rows
     )
-    if args.sessions_dir:
-        session_rows = bench_sessions(args.circuits, args.sessions_dir)
-        if any(r["match"] is False for r in session_rows):
-            print("FAIL warm cover mismatch (see rows above)")
-            clean = False
     return 0 if clean and not violations else 1
 
 

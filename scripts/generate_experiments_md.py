@@ -8,7 +8,6 @@ import time
 
 from repro.bench.figure1 import figure1_experiment, figure1_instance
 from repro.bench.figure8 import run_figure8, DEFAULT_EXACT_BUDGET
-from repro.bm.benchmarks import BENCHMARKS
 from repro.bm.random_spec import random_instance
 from repro.detect import Netlist
 from repro.exact import exact_hazard_free_minimize

@@ -22,7 +22,8 @@ these *should* hit the cache), and optionally malformed lines
 edits, each edit submitted twice (edit, then identical resubmit — the
 save/tweak/save rhythm of an editing session).  The same request sequence
 runs twice — a *cold* arm (no sessions) and a *warm* arm threading
-``warm_key`` from each response into the next — and the report shows
+``warm_key`` from each response into the next (an edit runs cold, an
+identical resubmit returns its stored cover) — and the report shows
 warm-hit rate and warm-vs-cold p50/p99 side by side.  Both arms run with
 ``no_cache`` so the result cache cannot mask the comparison, and every
 warm cover is byte-compared to its cold twin.  ``--gate-ratio R`` turns
@@ -74,10 +75,10 @@ DEFAULT_CIRCUITS = (
     "stetson-p3",
 )
 
-#: compute-heavy circuits for --edit-workload: warm-start pays for the
-#: session machinery only where minimization dominates the request; the
-#: tiny circuits above are transport/parse-bound through the service no
-#: matter how warm the run is
+#: compute-heavy circuits for --edit-workload: an identical resubmit pays
+#: for the session machinery only where minimization dominates the
+#: request; the tiny circuits above are transport/parse-bound through the
+#: service either way
 EDIT_CIRCUITS = (
     "cache-ctrl",
     "stetson-p1",
@@ -262,7 +263,7 @@ def run_edit_workload(
                 if not reply.get("ok"):
                     failed += 1
                 warm_key = reply.get("warm_key") or warm_key
-                if reply.get("warm") in ("warm", "identical"):
+                if reply.get("warm") == "identical":
                     hits += 1
                     registry.counter("loadgen.warm_hits").inc()
                 if reply.get("cover_pla") != cold_covers[i]:

@@ -143,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--session-in",
         metavar="FILE",
-        help="warm-start from a saved minimization session (JSON written "
-        "by --session-out); an unusable session degrades to a cold run — "
-        "see docs/WARMSTART.md",
+        help="reuse a saved minimization session (JSON written by "
+        "--session-out): an identical resubmit returns its re-verified "
+        "cover, an edited or unusable one runs cold — see docs/WARMSTART.md",
     )
     parser.add_argument(
         "--session-out",
         metavar="FILE",
         help="capture this run's minimization session for later "
-        "--session-in warm starts (heuristic single-process mode only)",
+        "--session-in runs (heuristic single-process mode only)",
     )
     parser.add_argument(
         "--stats", action="store_true", help="print per-phase statistics"

@@ -26,14 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.detect.detector import (
     DetectionReport,
     DetectOptions,
     detect_netlist,
 )
-from repro.detect.netlist import Netlist, NetlistError
+from repro.detect.netlist import Netlist
 from repro.detect.nlformat import format_netlist, parse_netlist
 from repro.guard.budget import RunBudget
 from repro.guard.errors import (
@@ -42,7 +42,6 @@ from repro.guard.errors import (
     MalformedInstance,
     outcome_of,
 )
-from repro.hazards.transitions import Transition
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -28,7 +28,7 @@ carrying the 1-based line number, keeping the malformed-input exit code
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.detect.netlist import Gate, Netlist, NetlistError
 from repro.hazards.transitions import Transition

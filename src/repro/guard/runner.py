@@ -240,17 +240,17 @@ def pla_payload(
     collect_spans: bool = False,
     warm_session: Optional[Dict[str, Any]] = None,
     capture_session: bool = False,
-    warm_text_match: bool = False,
 ) -> Dict[str, Any]:
     """Work item for one extended-PLA instance (the CLI's ``--timeout``).
 
     ``warm_session`` is a serialized :class:`repro.session.MinimizationSession`
     dict (``to_dict`` form — plain JSON, so it survives the process
-    boundary); ``capture_session`` asks the worker to ship one back on the
-    row (``row["session"]``).  ``warm_text_match`` asserts that
-    ``pla_text`` is byte-identical to the text that produced the session
-    (the caller's proof of instance identity — the planner then skips
-    signature re-derivation).  See docs/WARMSTART.md.
+    boundary) captured from a run on this very ``pla_text``: its presence
+    is the caller's proof of instance identity, so the worker skips
+    re-validation and the planner skips signature re-derivation (the
+    Theorem 2.11 re-verification of its cover still runs).
+    ``capture_session`` asks the worker to ship a session back on the row
+    (``row["session"]``).  See docs/WARMSTART.md.
     """
     payload = {
         "kind": "pla",
@@ -266,8 +266,6 @@ def pla_payload(
     }
     if warm_session is not None:
         payload["warm_session"] = warm_session
-        if warm_text_match:
-            payload["warm_text_match"] = True
     if capture_session:
         payload["capture_session"] = True
     return payload
@@ -310,11 +308,11 @@ def _build_instance(payload: Dict[str, Any]):
         return build_benchmark(payload["name"])
     from repro.pla import parse_pla
 
-    # warm_text_match is the supervisor's proof that this exact byte
-    # sequence already passed validation in the run that produced the
-    # session (sessions are only stored from status=="ok" runs), so
-    # re-validating the deterministic parse result proves nothing new.
-    validate = not payload.get("warm_text_match")
+    # A shipped session proves this exact byte sequence already passed
+    # validation in the run that produced it (sessions are only stored
+    # from status=="ok" runs), so re-validating the deterministic parse
+    # result proves nothing new.
+    validate = payload.get("warm_session") is None
     return parse_pla(
         payload["pla_text"], name=payload.get("name", "pla")
     ).to_instance(validate=validate)
@@ -379,7 +377,8 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         apply_option_faults(inject, options)
     collect_spans = bool(payload.get("collect_spans"))
     capture_session = bool(payload.get("capture_session"))
-    warm_text_match = bool(payload.get("warm_text_match"))
+    # A shipped session was captured from this very text (pla_payload), so
+    # the planner may take the instance as identical.
     warm_start = None
     warm_error: Optional[str] = None
     if payload.get("warm_session") is not None:
@@ -412,7 +411,7 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                         bundle_dir=bundle_dir,
                         warm_start=warm_start,
                         capture_session=capture_session,
-                        warm_assume_identical=warm_text_match,
+                        warm_assume_identical=True,
                     )
             else:
                 result = guarded_espresso_hf(
@@ -421,7 +420,7 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                     bundle_dir=bundle_dir,
                     warm_start=warm_start,
                     capture_session=capture_session,
-                    warm_assume_identical=warm_text_match,
+                    warm_assume_identical=True,
                 )
             elapsed = time.perf_counter() - t0
             times.append(elapsed)

@@ -752,145 +752,3 @@ class HFContext:
         return Cube(
             self.n_inputs, req.canonical.inbits, 1 << req.output, self.n_outputs
         )
-
-    # ------------------------------------------------------------------
-    # Warm-start cache export / import (docs/WARMSTART.md)
-    # ------------------------------------------------------------------
-
-    #: total pair-infeasibility proofs recovered from imported escape rows;
-    #: bounds the O(universe^2) fan-out of a dense row set
-    _ESCAPE_IMPORT_CAP = 2_048
-
-    def export_caches(
-        self,
-        max_supercube_entries: int = 50_000,
-        max_escape_rows: int = 4_096,
-    ) -> Dict[str, object]:
-        """Portable snapshot of the memo tables, for a session capture.
-
-        The supercube memo exports as raw ``[r, outbits, result]`` rows —
-        already position-independent.  The escape rows are keyed by
-        universe *position*, so the coverage export rides along as the
-        position → ``(canonical inbits, output)`` translation table.
-        Bounds keep sessions shippable; export order is dict insertion
-        order, i.e. probe order, which is deterministic.
-        """
-        memo = []
-        for (r, ob), val in self._supercube_cache.items():
-            if len(memo) >= max_supercube_entries:
-                break
-            memo.append([r, ob, val])
-        rows = []
-        for pos, rowmask in self._escape_rows.items():
-            if len(rows) >= max_escape_rows:
-                break
-            rows.append([pos, rowmask])
-        return {
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-            "supercube": memo,
-            "escape": {"rows": rows, "sel": self._escape_rows_sel},
-            "coverage": self.coverage.export_state(),
-        }
-
-    def import_caches(
-        self, caches: Dict[str, object], valid_outputs: int
-    ) -> int:
-        """Adopt a prior session's memo tables; returns entries imported.
-
-        ``valid_outputs`` is the diff layer's mask of outputs whose
-        privileged and OFF sets are unchanged — the exact data every
-        ``supercube_dhf`` verdict is a function of, so an entry whose
-        output set is confined to the mask is value-identical to what
-        this run would recompute and can be adopted outright.  Escape
-        rows contribute differently: a *cleared* partner bit is a proof
-        that the pair seed meets an OFF cube of one of the two outputs,
-        so when both outputs are valid the pair's fixpoint is seeded as
-        infeasible (``None``).  Set bits only ever licensed a probe and
-        carry nothing.  Malformed or out-of-range entries are skipped,
-        never fatal — a session must not be able to crash a run.
-        """
-        if not isinstance(caches, dict):
-            return 0
-        if caches.get("n_inputs") != self.n_inputs:
-            return 0
-        if caches.get("n_outputs") != self.n_outputs:
-            return 0
-        full_in = (1 << (2 * self.n_inputs)) - 1
-        out_mask = (1 << self.n_outputs) - 1
-        cache = self._supercube_cache
-        imported = 0
-        for entry in caches.get("supercube") or []:
-            try:
-                r, ob, val = int(entry[0]), int(entry[1]), entry[2]
-            except (TypeError, ValueError, IndexError):
-                continue
-            if not 0 < ob <= out_mask or ob & ~valid_outputs:
-                continue
-            if not 0 <= r <= full_in:
-                continue
-            if val is not None:
-                val = int(val)
-                if not 0 <= val <= full_in:
-                    continue
-            if (r, ob) not in cache:
-                cache[(r, ob)] = val
-                imported += 1
-        self.perf.warm_memo_imported += imported
-        seeded = self._seed_escape_proofs(caches, valid_outputs)
-        self.perf.warm_escape_imported += seeded
-        coverage_state = caches.get("coverage")
-        if isinstance(coverage_state, dict):
-            self.coverage.offer_warm_state(coverage_state)
-        return imported + seeded
-
-    def _seed_escape_proofs(
-        self, caches: Dict[str, object], valid_outputs: int
-    ) -> int:
-        escape = caches.get("escape")
-        coverage_state = caches.get("coverage")
-        if not isinstance(escape, dict) or not isinstance(
-            coverage_state, dict
-        ):
-            return 0
-        universe = coverage_state.get("universe") or []
-        if not universe:
-            return 0
-        n_universe = len(universe)
-        cache = self._supercube_cache
-        out_mask = (1 << self.n_outputs) - 1
-        full_in = (1 << (2 * self.n_inputs)) - 1
-        seeded = 0
-        try:
-            # A cleared bit is only a verdict for partners the row build
-            # actually considered — the exported selection mask.
-            sel = int(escape.get("sel") or 0) & ((1 << n_universe) - 1)
-            for pos, rowmask in escape.get("rows") or []:
-                pos, rowmask = int(pos), int(rowmask)
-                if not 0 <= pos < n_universe or not (sel >> pos) & 1:
-                    continue
-                q_in, j = (int(v) for v in universe[pos])
-                if not (valid_outputs >> j) & 1 or not 0 <= q_in <= full_in:
-                    continue
-                cleared = ~rowmask & sel
-                while cleared and seeded < self._ESCAPE_IMPORT_CAP:
-                    b = cleared & -cleared
-                    cleared ^= b
-                    pos2 = b.bit_length() - 1
-                    s_in, j2 = (int(v) for v in universe[pos2])
-                    ob = (1 << j) | (1 << j2)
-                    if (
-                        not (valid_outputs >> j2) & 1
-                        or not 0 <= s_in <= full_in
-                        or ob & ~out_mask
-                    ):
-                        continue
-                    key = (q_in | s_in, ob)
-                    if key not in cache:
-                        cache[key] = None
-                        seeded += 1
-                if seeded >= self._ESCAPE_IMPORT_CAP:
-                    break
-        except (TypeError, ValueError):
-            return seeded
-        return seeded

@@ -63,10 +63,6 @@ class CoverageIndex:
         self._mask_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: (inbits, outbits) -> (universe size at computation, combined mask)
         self._combined_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: warm-start mask snapshot offered by
-        #: :meth:`offer_warm_state`, adopted by :meth:`register` only if
-        #: the registered universe reproduces the snapshot's exactly
-        self._warm_pending: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     # Universe registration
@@ -80,8 +76,6 @@ class CoverageIndex:
             if key not in index:
                 index[key] = len(index)
                 self._by_output[q.output].append((index[key], key[0]))
-        if self._warm_pending is not None:
-            self._try_adopt_warm()
 
     def index_of(self, req) -> int:
         """Universe index of one tagged required cube (must be registered)."""
@@ -148,7 +142,6 @@ class CoverageIndex:
     def enter_scalar_mode(self) -> None:
         """Switch to the scalar fallback path and drop every cached mask."""
         self.scalar_mode = True
-        self._warm_pending = None
         self._mask_cache.clear()
         self._combined_cache.clear()
 
@@ -173,76 +166,6 @@ class CoverageIndex:
         self.perf.coverage_masks_built += 1
         self._mask_cache[key] = (len(bucket), mask)
         return mask
-
-    # ------------------------------------------------------------------
-    # Warm-start export / import (docs/WARMSTART.md)
-    # ------------------------------------------------------------------
-
-    def export_state(self, max_masks: int = 10_000) -> Dict[str, object]:
-        """Portable snapshot: universe key order plus the mask caches.
-
-        Masks are universe-*position* bitmasks, so they are only valid
-        against the exact same universe in the exact same registration
-        order — the import side enforces that (:meth:`offer_warm_state`).
-        The universe key list itself is position-independent data and
-        doubles as the translation table for the context's escape rows.
-        """
-        universe: List[List[int]] = [
-            [inbits, j] for (inbits, j) in self._index
-        ]
-        masks = []
-        for (inbits, j), (known, mask) in self._mask_cache.items():
-            if len(masks) >= max_masks:
-                break
-            masks.append([inbits, j, known, mask])
-        combined = []
-        for (inbits, ob), (size, mask) in self._combined_cache.items():
-            if len(combined) >= max_masks:
-                break
-            combined.append([inbits, ob, size, mask])
-        return {"universe": universe, "masks": masks, "combined": combined}
-
-    def offer_warm_state(self, state: Dict[str, object]) -> None:
-        """Stage an :meth:`export_state` snapshot for adoption.
-
-        Adoption happens inside :meth:`register`, the moment the live
-        universe is known — and only if it matches the snapshot's key
-        order exactly (positions, hence masks, then coincide).  Any
-        mismatch silently drops the offer: coverage masks are cheap to
-        rebuild, so a stale snapshot must never risk a wrong mask.
-        """
-        if not self.scalar_mode and self.fault_hook is None:
-            self._warm_pending = state
-
-    def _try_adopt_warm(self) -> None:
-        state = self._warm_pending
-        universe = state.get("universe") or []
-        if len(universe) < len(self._index):
-            # The live universe has outgrown the snapshot: give up.
-            self._warm_pending = None
-            return
-        if len(universe) > len(self._index):
-            return  # not fully registered yet; keep the offer staged
-        self._warm_pending = None
-        live = [[inbits, j] for (inbits, j) in self._index]
-        if [[int(a), int(b)] for a, b in universe] != live:
-            return
-        try:
-            for inbits, j, known, mask in state.get("masks") or []:
-                j = int(j)
-                if 0 <= j < self.n_outputs and int(known) <= len(
-                    self._by_output[j]
-                ):
-                    self._mask_cache.setdefault(
-                        (int(inbits), j), (int(known), int(mask))
-                    )
-            for inbits, ob, size, mask in state.get("combined") or []:
-                if int(size) == len(self._index):
-                    self._combined_cache.setdefault(
-                        (int(inbits), int(ob)), (int(size), int(mask))
-                    )
-        except (TypeError, ValueError):
-            return
 
     # ------------------------------------------------------------------
     # Convenience views for the operators

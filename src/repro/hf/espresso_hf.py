@@ -382,16 +382,13 @@ def espresso_hf(
     ``HFResult.status``.
 
     ``warm_start`` takes a :class:`repro.session.MinimizationSession`
-    captured from an earlier run of (an edit-predecessor of) the same
-    instance.  The planner (:func:`repro.session.plan_warm_start`) picks
-    one of three modes, reported on ``HFResult.warm`` and in the trace:
-    *identical* returns the session cover directly after the Theorem 2.11
-    verifier re-accepts it; *warm* imports the memo entries still valid
-    under the edit (the cover stays byte-identical to a cold run — only
-    values a cold run would recompute identically are adopted) and seeds
-    the budget-degradation floor from the re-verified prior cover;
-    *cold* ignores the session.  A bad session can only ever cost the
-    planning time, never correctness.
+    captured from an earlier run.  The planner
+    (:func:`repro.session.plan_warm_start`) picks one of two modes,
+    reported on ``HFResult.warm`` and in the trace: *identical* (equal
+    signatures) returns the session cover directly after the Theorem 2.11
+    verifier re-accepts it; *cold* ignores the session, so an edited
+    instance gets the cold cover by construction.  A bad session can only
+    ever cost the planning time, never correctness.
 
     ``capture_session=True`` attaches a freshly captured session to
     ``HFResult.session`` on ``status == "ok"`` runs.
@@ -412,8 +409,6 @@ def espresso_hf(
     warm_mode: Optional[str] = None
     warm_plan_seconds = 0.0
     warm_reason = ""
-    start_from: Optional[List[Cube]] = None
-    plan = None
     if warm_start is not None:
         from repro.session.warm import plan_warm_start
 
@@ -438,17 +433,13 @@ def espresso_hf(
     ctx = HFContext(instance, budget=options.budget, checked=options.checked)
     if options.coverage_fault_hook is not None:
         ctx.coverage.fault_hook = options.coverage_fault_hook
-    if plan is not None:
-        ctx.perf.warm_cubes_reverified += plan.cubes_reverified
-        ctx.trace.append(f"warm:{plan.mode}{warm_reason}")
-        if plan.mode == "warm":
-            ctx.import_caches(warm_start.caches, plan.valid_outputs)
-            start_from = plan.seed
+    if warm_mode is not None:
+        ctx.trace.append(f"warm:{warm_mode}{warm_reason}")
 
     state = HFState(instance, options, ctx)
     tracer = current_tracer()
     if tracer is None:
-        PassManager().run(build_hf_pipeline(options), state, start_from=start_from)
+        PassManager().run(build_hf_pipeline(options), state)
     else:
         # Span tracing is active: the ObsHook leads the stack so pass
         # spans close before the (potentially slow) checked-mode
@@ -459,7 +450,7 @@ def espresso_hf(
             attrs["warm"] = warm_mode
         root = tracer.start(f"run:{instance.name}", **attrs)
         try:
-            manager.run(build_hf_pipeline(options), state, start_from=start_from)
+            manager.run(build_hf_pipeline(options), state)
         finally:
             tracer.unwind(
                 root, status=state.status, cover_size=state.cover_size()
@@ -498,7 +489,6 @@ def espresso_hf(
             result.session = _capture(
                 instance,
                 result.cover,
-                ctx,
                 essentials=state.essential_classes,
                 best=state.best,
                 iterations=state.iterations,
@@ -531,7 +521,7 @@ def _warm_identical_result(
     consumed on this path.
     """
     perf = PerfCounters()
-    perf.warm_cubes_reverified += plan.cubes_reverified
+    perf.warm_cubes_reverified += len(plan.seed)
     cover = Cover(instance.n_inputs, (), instance.n_outputs)
     seen = set()
     for c in plan.seed:
@@ -563,8 +553,8 @@ def _warm_identical_result(
     )
     if capture_session:
         # The incoming session is exactly what a fresh capture would
-        # produce for this instance (its caches are a superset), so it is
-        # reused as-is and chains keep working.
+        # produce for this instance, so it is reused as-is and chains
+        # keep working.
         result.session = session
     return result
 

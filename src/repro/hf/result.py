@@ -57,8 +57,8 @@ class HFResult:
     warm:
         Warm-start mode of the run when ``espresso_hf(warm_start=...)``
         was used: ``"identical"`` (session cover returned after
-        re-verification), ``"warm"`` (memo-seeded run), or ``"cold"``
-        (fallback — the session was unusable).  ``None`` on runs that
+        re-verification) or ``"cold"`` (an edit, or an unusable session:
+        the pipeline ran as if there were none).  ``None`` on runs that
         never saw a session.
     session:
         The captured :class:`repro.session.MinimizationSession` when the

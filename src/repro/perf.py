@@ -74,19 +74,10 @@ class PerfCounters:
         tables are cleared when ``compute_essentials`` returns, so
         service-style runs don't accumulate per-instance state; merging
         takes the max, not the sum.
-    warm_memo_imported:
-        Supercube-memo entries adopted from a
-        :class:`~repro.session.MinimizationSession` on a warm start —
-        each is a fixpoint (or an infeasibility proof) the run never has
-        to recompute.  Only entries whose outputs have unchanged
-        privileged and OFF sets are eligible (docs/WARMSTART.md).
-    warm_escape_imported:
-        Pair-infeasibility proofs recovered from a prior session's escape
-        rows and seeded into the supercube memo on a warm start.
     warm_cubes_reverified:
-        Cubes of a prior session's cover re-verified against the *new*
-        instance with the Theorem 2.11 checker during warm-start planning
-        (identical-mode short-circuit and budget-floor seeding).
+        Cubes of a prior session's cover re-verified against the live
+        instance with the Theorem 2.11 checker before an identical-mode
+        short-circuit (docs/WARMSTART.md).
     """
 
     supercube_calls: int = 0
@@ -106,8 +97,6 @@ class PerfCounters:
     escape_probe_hits: int = 0
     essentials_rescans_avoided: int = 0
     essentials_memo_peak: int = 0
-    warm_memo_imported: int = 0
-    warm_escape_imported: int = 0
     warm_cubes_reverified: int = 0
 
     @property
@@ -161,8 +150,6 @@ class PerfCounters:
             "escape_probe_hits": self.escape_probe_hits,
             "essentials_rescans_avoided": self.essentials_rescans_avoided,
             "essentials_memo_peak": self.essentials_memo_peak,
-            "warm_memo_imported": self.warm_memo_imported,
-            "warm_escape_imported": self.warm_escape_imported,
             "warm_cubes_reverified": self.warm_cubes_reverified,
         }
 
@@ -199,11 +186,9 @@ class PerfCounters:
                 f"{self.essentials_rescans_avoided} rescans avoided "
                 f"(memo peak {self.essentials_memo_peak})"
             )
-        if self.warm_memo_imported or self.warm_cubes_reverified:
+        if self.warm_cubes_reverified:
             lines.append(
-                f"warm start: {self.warm_memo_imported} memo entries "
-                f"imported, {self.warm_escape_imported} escape proofs "
-                f"seeded, {self.warm_cubes_reverified} cubes re-verified"
+                f"warm start: {self.warm_cubes_reverified} cubes re-verified"
             )
         if self.invariant_checks:
             lines.append(

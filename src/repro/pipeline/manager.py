@@ -73,31 +73,13 @@ class PassManager:
     def __init__(self, hooks: Optional[Sequence[Hook]] = None):
         self.hooks = list(hooks) if hooks is not None else default_hooks()
 
-    def run(
-        self,
-        nodes: Sequence[Node],
-        state: Any,
-        start_from: Optional[Sequence[Any]] = None,
-    ) -> Any:
+    def run(self, nodes: Sequence[Node], state: Any) -> Any:
         """Run the whole pipeline; returns the (mutated) state.
 
         Degrades to ``state.best`` on budget exhaustion once a snapshot
         exists; re-raises while none does (no valid cover yet).
-
-        ``start_from`` pre-seeds ``state.best`` with a caller-supplied
-        cover (cube list) before the first pass runs — the first-class
-        warm-start entry point: a budget blown before the first snapshot
-        then degrades to the seed instead of dying.  The caller owns the
-        seed's validity (``espresso_hf`` only passes covers the Theorem
-        2.11 verifier accepted against the live instance).  Normal runs
-        are unaffected: the snapshot hook overwrites ``best`` after the
-        first snapshotting pass, and ``best`` is only ever *read* on
-        budget exhaustion.
         """
         try:
-            if start_from is not None and state.best is None:
-                state.best = list(start_from)
-                state.trace.append(f"start-from:|F|={len(state.best)}")
             self._run_sequence(nodes, state)
         except BudgetExceeded as exc:
             if state.best is None:

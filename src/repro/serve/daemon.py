@@ -161,7 +161,7 @@ class MinimizationServer:
         }
         if reply.get("warm") is not None:
             # Distinguish warm-started requests from cold ones per span
-            # (docs/WARMSTART.md): "identical" | "warm" | "cold".
+            # (docs/WARMSTART.md): "identical" | "cold".
             attrs["warm"] = reply["warm"]
         self._record_span("serve.request", t0, **attrs)
         return reply

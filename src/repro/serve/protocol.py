@@ -18,9 +18,10 @@ Requests
     cache), ``inject`` (test-only fault seam, honoured only when the
     daemon runs with ``--allow-test-faults``), ``session`` (capture a
     warm-start session server-side; the response's ``warm_key`` names
-    it), ``warm_key`` (seed this run from a previously captured session —
-    see ``docs/WARMSTART.md``; an unknown or unusable key degrades to a
-    cold run, never an error).
+    it), ``warm_key`` (return the cover of a previously captured session
+    when the text is byte-identical to the one that produced it — see
+    ``docs/WARMSTART.md``; an edit, or an unknown or unusable key, runs
+    cold, never an error).
 ``{"op": "ping"}``
     Liveness probe; echoes the protocol version.
 ``{"op": "stats"}``

@@ -115,14 +115,14 @@ class _Job:
     no_cache: bool
     timeout_s: float
     inject: Optional[Dict[str, Any]]
-    #: serialized MinimizationSession looked up from the session store
-    #: (``warm_key`` request field); None runs cold
+    #: the request named a ``warm_key``: its reply carries a ``warm`` field
+    warm_requested: bool = False
+    #: serialized MinimizationSession looked up from the session store,
+    #: shipped only when the request text is byte-identical to the text
+    #: that produced it; None runs cold
     warm_session: Optional[Dict[str, Any]] = None
     #: ship a session back on the row and store it under the canonical key
     capture_session: bool = False
-    #: request text is byte-identical to the text that produced the
-    #: session — the worker's planner may skip signature re-derivation
-    warm_text_match: bool = False
     future: "asyncio.Future" = field(repr=False, default=None)
     enqueued_at: float = 0.0
 
@@ -411,25 +411,15 @@ class Supervisor:
             float(req.timeout_s or cfg.job_timeout_s), cfg.job_timeout_s
         )
         warm_session = None
-        warm_text_match = False
         if req.warm_key:
             entry = self.sessions.get(req.warm_key)
-            if entry is None:
-                # Unknown/evicted key: run cold, tell the operator.
-                self._count("warmstart.fallbacks")
-            elif (
-                isinstance(entry, dict)
-                and "session" in entry
-                and "text_sha" in entry
-            ):
-                warm_session = entry["session"]
+            if entry is not None and entry["text_sha"] == digest:
                 # Byte-identical text parses deterministically to an
-                # identical instance, so the worker's planner may treat
-                # the session as provably identical and skip signature
-                # re-derivation (the Theorem 2.11 verify still runs).
-                warm_text_match = entry["text_sha"] == digest
-            else:  # pragma: no cover - legacy raw-session entries
-                warm_session = entry
+                # identical instance: the one case a session can serve.
+                warm_session = entry["session"]
+            else:
+                # Unknown or evicted key, or an edit: a plain cold miss.
+                self._count("warmstart.fallbacks")
         return _Job(
             cache_key=(canon.key, fingerprint),
             pla_text=req.pla,
@@ -441,11 +431,11 @@ class Supervisor:
             no_cache=bool(req.no_cache) or inject is not None,
             timeout_s=timeout_s,
             inject=inject,
+            warm_requested=bool(req.warm_key),
             warm_session=warm_session,
             # A warm_key request keeps the chain alive: its result is
             # captured too, so the client can keep editing.
             capture_session=bool(req.session or req.warm_key),
-            warm_text_match=warm_text_match,
         )
 
     def _respond_from_canonical(
@@ -585,7 +575,6 @@ class Supervisor:
                 verify=True,
                 warm_session=job.warm_session,
                 capture_session=job.capture_session,
-                warm_text_match=job.warm_text_match,
             )
             payload["options"] = dict(job.options_dict)
             if job.inject is not None:
@@ -647,19 +636,17 @@ class Supervisor:
             "num_literals": row.get("num_literals"),
             "cover_pla": None,
         }
-        if row.get("warm") is not None:
-            outcome["warm"] = row["warm"]
+        if job.warm_requested:
+            outcome["warm"] = row.get("warm") or "cold"
         if row.get("session") is not None:
             outcome["session"] = row["session"]
         if job.warm_session is not None:
-            # Warm-start disposition counters (docs/OBSERVABILITY.md):
-            # a run that used the session (memo import or identical-mode
-            # short-circuit) is a hit; a planner fallback counts like a
-            # store miss.
-            warm = row.get("warm")
-            if warm in ("warm", "identical"):
+            # Warm-start disposition counters (docs/OBSERVABILITY.md): an
+            # identical-mode short-circuit is a hit; a shipped session the
+            # planner refused counts like a store miss.
+            if row.get("warm") == "identical":
                 self._count("warmstart.hits")
-            elif warm == "cold" or warm is None:
+            else:
                 self._count("warmstart.fallbacks")
             reverified = (row.get("counters") or {}).get(
                 "warm_cubes_reverified", 0

@@ -1,19 +1,16 @@
-"""First-class minimization sessions: warm-start / incremental re-runs.
+"""First-class minimization sessions: identical-resubmit short-circuits.
 
-A :class:`MinimizationSession` is the explicit, serializable form of the
-per-run state that used to live scattered across the stack — the final
-cover, the pipeline's best-verified snapshot, the canonical key from
-:mod:`repro.serve.canon`, and the context-private supercube / escape-row /
-coverage memo tables of :class:`repro.hf.context.HFContext` — extracted
-behind a stable capture/restore protocol (``to_dict`` / ``from_dict`` /
-``save`` / ``load``).
+A :class:`MinimizationSession` is the explicit, serializable form of a
+finished run — the final cover, the pipeline's best-verified snapshot,
+the derived-set signature of the producing instance, and the canonical
+key from :mod:`repro.serve.canon` — behind a stable capture/restore
+protocol (``to_dict`` / ``from_dict`` / ``save`` / ``load``).
 
-On top of it sits the diff layer (:func:`diff_instances`,
-:func:`signature_of`) and the warm-start planner
-(:func:`plan_warm_start`), which ``espresso_hf(warm_start=session)``
-consults to decide between an *identical* short-circuit, a memo-seeded
-*warm* run, or a *cold* fallback.  See ``docs/WARMSTART.md`` for the
-session format, the invalidation rules, and the soundness argument.
+On top of it sits the warm-start planner (:func:`plan_warm_start`), which
+``espresso_hf(warm_start=session)`` consults to decide between an
+*identical* short-circuit (equal :func:`signature_of` values: the stored
+cover is re-verified and returned) and a *cold* run.  See
+``docs/WARMSTART.md`` for the session format and the soundness argument.
 """
 
 from repro.session.session import (
@@ -22,12 +19,7 @@ from repro.session.session import (
     capture_session,
     signature_of,
 )
-from repro.session.diff import InstanceDiff, compare_signatures, diff_instances
-from repro.session.warm import (
-    DEFAULT_MAX_EDIT_FRACTION,
-    WarmStartPlan,
-    plan_warm_start,
-)
+from repro.session.warm import WarmStartPlan, plan_warm_start
 from repro.session.store import SessionStore
 
 __all__ = [
@@ -35,10 +27,6 @@ __all__ = [
     "MinimizationSession",
     "capture_session",
     "signature_of",
-    "InstanceDiff",
-    "compare_signatures",
-    "diff_instances",
-    "DEFAULT_MAX_EDIT_FRACTION",
     "WarmStartPlan",
     "plan_warm_start",
     "SessionStore",

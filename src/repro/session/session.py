@@ -1,17 +1,14 @@
 """The serializable session object and its capture side.
 
-A session records everything a later run needs to *warm-start* on an
-edited copy of the same instance:
+A session records what a later run needs to short-circuit a resubmit of
+the same instance:
 
-* the minimized cover and essential classes (seed / identical-mode
-  short-circuit material),
-* the pipeline's best-verified snapshot (budget-degradation floor),
+* the minimized cover and essential classes (the identical-mode result),
+* the pipeline's best-verified snapshot,
 * the derived-set **signature** of the producing instance — the per-output
   required, privileged, and OFF cube lists the algorithm actually
-  consumes.  Diffing is done on signatures, never on raw text, so
+  consumes.  Identity is decided on signatures, never on raw text, so
   formatting or comment edits cost nothing,
-* the bounded supercube / escape-row / coverage memo export of
-  :meth:`repro.hf.context.HFContext.export_caches`,
 * the canonical key of :func:`repro.serve.canon.canonicalize` (when the
   caller computed one), which is the session-store address on the serve
   path.
@@ -77,9 +74,7 @@ def _cube_pairs(cubes) -> List[List[int]]:
 class MinimizationSession:
     """Capture of one successful minimization run, restore-ready.
 
-    ``caches`` is the portable export of
-    :meth:`~repro.hf.context.HFContext.export_caches`; see that method
-    for the layout.  ``signature`` is :func:`signature_of` applied to the
+    ``signature`` is :func:`signature_of` applied to the
     producing instance.  ``canonical_key`` is optional — offline captures
     may skip the canonicalization cost — but required for storage in a
     :class:`~repro.session.store.SessionStore`.
@@ -92,7 +87,6 @@ class MinimizationSession:
     signature: Dict[str, Any]
     essentials: List[List[int]] = field(default_factory=list)
     best: Optional[List[List[int]]] = None
-    caches: Dict[str, Any] = field(default_factory=dict)
     canonical_key: Optional[str] = None
     num_canonical_required: int = 0
     iterations: int = 0
@@ -134,7 +128,6 @@ class MinimizationSession:
                 if self.best is None
                 else [list(pair) for pair in self.best]
             ),
-            "caches": self.caches,
             "canonical_key": self.canonical_key,
             "num_canonical_required": self.num_canonical_required,
             "iterations": self.iterations,
@@ -147,7 +140,8 @@ class MinimizationSession:
 
         Raises ``ValueError`` on structurally broken input; version skew
         is *not* an error here — the warm planner downgrades it to a cold
-        fallback so stale stores stay usable.
+        fallback so stale stores stay usable.  Keys this layout does not
+        know (the memo ``caches`` of older session files) are ignored.
         """
         if not isinstance(data, dict):
             raise ValueError("session payload must be a dict")
@@ -168,7 +162,6 @@ class MinimizationSession:
                     if data.get("best") is None
                     else [[int(a), int(b)] for a, b in data["best"]]
                 ),
-                caches=dict(data.get("caches", {})),
                 canonical_key=data.get("canonical_key"),
                 num_canonical_required=int(
                     data.get("num_canonical_required", 0)
@@ -193,26 +186,18 @@ class MinimizationSession:
 def capture_session(
     instance: HazardFreeInstance,
     cover,
-    ctx,
     essentials=(),
     best: Optional[List[Cube]] = None,
     iterations: int = 0,
     num_canonical_required: int = 0,
     canonical_key: Optional[str] = None,
-    max_supercube_entries: int = 50_000,
-    max_escape_rows: int = 4_096,
 ) -> MinimizationSession:
     """Capture a finished run's state into a session.
 
-    ``ctx`` is the run's :class:`~repro.hf.context.HFContext`; its memo
-    tables are exported in portable (position-independent) form.  Callers
-    that know the canonical key (the serve path, `--session-out` with
-    canonicalization enabled) pass it so the session is store-addressable.
+    Callers that know the canonical key (the serve path, `--session-out`
+    with canonicalization enabled) pass it so the session is
+    store-addressable.
     """
-    caches = ctx.export_caches(
-        max_supercube_entries=max_supercube_entries,
-        max_escape_rows=max_escape_rows,
-    )
     return MinimizationSession(
         name=instance.name,
         n_inputs=instance.n_inputs,
@@ -221,7 +206,6 @@ def capture_session(
         signature=signature_of(instance),
         essentials=_cube_pairs(essentials),
         best=None if best is None else _cube_pairs(best),
-        caches=caches,
         canonical_key=canonical_key,
         num_canonical_required=num_canonical_required,
         iterations=iterations,

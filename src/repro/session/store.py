@@ -2,9 +2,9 @@
 
 The serve layer keeps one of these next to its result cache: successful
 runs that asked for capture deposit their session under the instance's
-canonical key (:func:`repro.serve.canon.canonicalize`), and an edited
-resubmission carrying ``warm_key`` fetches the predecessor's state for
-the diff path.  Sessions are stored as plain dicts (the wire / worker
+canonical key (:func:`repro.serve.canon.canonicalize`), and a
+resubmission carrying ``warm_key`` looks it up for the identical-mode
+short-circuit.  Sessions are stored as plain dicts (the wire / worker
 format); the store never deserializes them.
 
 Thread-safe: the supervisor touches it from the event loop, tests and

@@ -1,23 +1,18 @@
-"""Warm-start planning: identical short-circuit, memo import, or cold.
+"""Warm-start planning: identical short-circuit, or cold.
 
 Given a stored :class:`~repro.session.MinimizationSession` and the newly
-submitted instance, :func:`plan_warm_start` decides one of three modes:
+submitted instance, :func:`plan_warm_start` decides one of two modes:
 
 ``identical``
     The ordered signatures are equal — the minimizer cannot distinguish
-    the instances, so the session cover *is* the cold cover.  The caller
-    still re-verifies it with the Theorem 2.11 checker (defence against
-    corrupt or hand-edited sessions) and falls back cold on violation.
-``warm``
-    The edit is small enough: memo entries confined to unchanged outputs
-    are imported (value-identical to a cold recomputation, so the final
-    cover stays byte-identical to the cold run), and the prior cover — if
-    it re-verifies hazard-free on the *new* instance — seeds the
-    pipeline's budget-degradation floor via ``start_from=``.
+    the instances, so the session cover *is* the cold cover.  The cover
+    is still re-verified with the Theorem 2.11 checker (defence against
+    corrupt or hand-edited sessions) and the plan falls back cold on a
+    violation.
 ``cold``
-    Shape or version mismatch, irreconcilable labeling (every output
-    touched), or edit fraction above the threshold: run as if no session
-    existed.
+    Anything else — an edit, a shape or version mismatch, a session that
+    failed verification: run as if no session existed, so the cover is
+    the cold cover by construction.
 """
 
 from __future__ import annotations
@@ -29,38 +24,27 @@ from repro.cubes.cover import Cover
 from repro.cubes.cube import Cube
 from repro.hazards.instance import HazardFreeInstance
 from repro.hazards.verify import verify_hazard_free_cover
-from repro.session.diff import InstanceDiff, compare_signatures
 from repro.session.session import (
     SESSION_VERSION,
     MinimizationSession,
     signature_of,
 )
 
-#: above this (added + removed) / old required-cube churn the diff is "too
-#: large" and the planner goes cold — importing a handful of stale-free
-#: memo entries cannot pay for the planning and verification overhead
-DEFAULT_MAX_EDIT_FRACTION = 0.5
-
 
 @dataclass
 class WarmStartPlan:
     """Outcome of warm-start planning (see module docstring)."""
 
-    mode: str  # "identical" | "warm" | "cold"
+    mode: str  # "identical" | "cold"
     reasons: List[str] = field(default_factory=list)
-    diff: Optional[InstanceDiff] = None
-    valid_outputs: int = 0
-    #: session cover, re-verified hazard-free on the *new* instance —
-    #: identical-mode result / budget-floor seed; None if verification
-    #: failed or was skipped
+    #: session cover, re-verified hazard-free on the instance — the
+    #: identical-mode result; None on a cold plan
     seed: Optional[List[Cube]] = None
-    cubes_reverified: int = 0
 
 
 def plan_warm_start(
     session: MinimizationSession,
     instance: HazardFreeInstance,
-    max_edit_fraction: float = DEFAULT_MAX_EDIT_FRACTION,
     assume_identical: bool = False,
 ) -> WarmStartPlan:
     """Classify a warm-start attempt against ``instance``.
@@ -94,76 +78,19 @@ def plan_warm_start(
                 f"{instance.n_inputs}x{instance.n_outputs}"
             ],
         )
-    if assume_identical:
-        diff = InstanceDiff(
-            shape_ok=True,
-            identical=True,
-            valid_outputs=(1 << instance.n_outputs) - 1,
-            edit_fraction=0.0,
-            reasons=["identical by caller proof (text digest)"],
-        )
-    else:
-        try:
-            diff = compare_signatures(
-                session.signature, signature_of(instance)
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            return WarmStartPlan("cold", [f"signature diff failed: {exc}"])
-        if not diff.shape_ok:
-            return WarmStartPlan("cold", diff.reasons, diff=diff)
+    if not assume_identical and session.signature != signature_of(instance):
+        return WarmStartPlan("cold", ["signatures differ"])
 
-    # Re-verify the prior cover against the *new* instance.  In identical
-    # mode this is the defensive Theorem 2.11 gate before short-circuiting;
-    # in warm mode it licenses the cover as a budget-degradation floor.
-    seed: Optional[List[Cube]] = None
-    reverified = 0
+    # The defensive Theorem 2.11 gate before short-circuiting: a session
+    # claiming identity but failing the verifier is corrupt.
     try:
         cubes = session.cover_cubes()
         cover = Cover(instance.n_inputs, cubes, instance.n_outputs)
-        if not verify_hazard_free_cover(instance, cover):
-            seed = cubes
-            reverified = len(cubes)
+        violations = verify_hazard_free_cover(instance, cover)
     except (TypeError, ValueError):
-        seed = None
-
-    if diff.identical:
-        if seed is None:
-            # A session claiming to match byte-for-byte but failing the
-            # verifier is corrupt — never trust its caches either.
-            return WarmStartPlan(
-                "cold", ["identical signature but cover failed verification"],
-                diff=diff,
-            )
+        violations = True
+    if violations:
         return WarmStartPlan(
-            "identical",
-            ["signatures identical"],
-            diff=diff,
-            valid_outputs=diff.valid_outputs,
-            seed=seed,
-            cubes_reverified=reverified,
+            "cold", ["identical signature but cover failed verification"]
         )
-
-    if diff.valid_outputs == 0:
-        return WarmStartPlan(
-            "cold",
-            ["no unchanged outputs (labeling irreconcilable or global edit)"]
-            + diff.reasons,
-            diff=diff,
-        )
-    if diff.edit_fraction > max_edit_fraction:
-        return WarmStartPlan(
-            "cold",
-            [
-                f"edit fraction {diff.edit_fraction:.2f} > "
-                f"{max_edit_fraction:.2f}"
-            ],
-            diff=diff,
-        )
-    return WarmStartPlan(
-        "warm",
-        diff.reasons or ["required-cube churn only"],
-        diff=diff,
-        valid_outputs=diff.valid_outputs,
-        seed=seed,
-        cubes_reverified=reverified,
-    )
+    return WarmStartPlan("identical", ["signatures identical"], seed=cubes)

@@ -2,7 +2,6 @@
 
 import itertools
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.cubes import Cube, Cover

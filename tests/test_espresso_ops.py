@@ -1,7 +1,5 @@
 """Targeted tests for Espresso-II operators not covered elsewhere."""
 
-import itertools
-
 import pytest
 
 from repro.cubes import Cube, Cover

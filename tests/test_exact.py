@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cubes import Cube, Cover
+from repro.cubes import Cube
 from repro.bm.random_spec import random_instance
 from repro.exact import (
     all_dhf_primes,
@@ -18,7 +18,6 @@ from repro.hazards import hazard_free_solution_exists
 from repro.hazards.dhf import is_dhf_implicant
 from repro.hazards.verify import is_hazard_free_cover
 from repro.hf import espresso_hf
-from repro.hf import NoSolutionError as HFNoSolution
 
 from tests.test_hazards import figure3_instance, unsolvable_instance
 

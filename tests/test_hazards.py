@@ -13,7 +13,6 @@ from repro.hazards import (
     classify_transition,
     function_hazard_free,
     HazardFreeInstance,
-    RequiredCube,
     PrivilegedCube,
     maximal_on_subcubes,
     minimal_hitting_sets,

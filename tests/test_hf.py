@@ -12,7 +12,6 @@ from repro.hazards import (
 )
 from repro.hazards.verify import is_hazard_free_cover, verify_hazard_free_cover
 from repro.hf import espresso_hf, EspressoHFOptions, NoSolutionError, HFContext
-from repro.hf.context import TaggedRequired
 from repro.hf.essentials import compute_essentials
 from repro.hf.expand import expand_cover, expand_toward_required
 from repro.hf.irredundant import irredundant_cover

@@ -9,7 +9,6 @@ from repro.exact import ExactBudget, exact_hazard_free_minimize
 from repro.hazards import HazardFreeInstance, Transition
 from repro.hazards.instance import InstanceError
 from repro.hf import espresso_hf
-from repro.hf.result import HFResult
 
 from tests.test_hazards import figure3_instance
 

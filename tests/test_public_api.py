@@ -1,5 +1,7 @@
 """The documented top-level API works as advertised."""
 
+import importlib
+
 import repro
 
 
@@ -33,17 +35,8 @@ class TestTopLevelApi:
         assert exact.num_cubes == 1
 
     def test_subpackages_importable(self):
-        import repro.bench
-        import repro.bm
-        import repro.cli
-        import repro.cubes
-        import repro.espresso
-        import repro.exact
-        import repro.hazards
-        import repro.hf
-        import repro.mincov
-        import repro.pipeline
-        import repro.pla
-        import repro.report
-        import repro.serve
-        import repro.simulate
+        for name in (
+            "bench", "bm", "cli", "cubes", "espresso", "exact", "hazards",
+            "hf", "mincov", "pipeline", "pla", "report", "serve", "simulate",
+        ):
+            importlib.import_module(f"repro.{name}")

@@ -1,7 +1,5 @@
 """Tests for the statistics/report module and its CLI integration."""
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.cubes import Cover
 from repro.pla import write_pla

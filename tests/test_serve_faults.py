@@ -21,8 +21,6 @@ clients keep getting correct covers.
 import threading
 import time
 
-import pytest
-
 from repro.bm.benchmarks import build_benchmark
 from repro.guard.bundle import load_bundle
 from repro.hazards.verify import verify_hazard_free_cover

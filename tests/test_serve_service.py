@@ -155,7 +155,7 @@ class TestWarmStart:
         warm = client.minimize(
             edited_pla, warm_key=base["warm_key"], no_cache=True
         )
-        assert warm["ok"] and warm.get("warm") in ("warm", "identical")
+        assert warm["ok"] and warm.get("warm") == "cold"
         assert warm["cover_pla"] == cold["cover_pla"]
         cover = parse_pla(warm["cover_pla"]).on
         assert not verify_hazard_free_cover(edited, cover)
@@ -170,7 +170,7 @@ class TestWarmStart:
             no_cache=True,
         )
         assert reply["ok"]
-        assert reply.get("warm") is None
+        assert reply.get("warm") == "cold"
         assert self._metric(client, "warmstart.fallbacks") > fallbacks_before
 
     def test_malformed_rejection_is_negatively_cached(self, daemon):

@@ -11,7 +11,6 @@ from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.bm.random_spec import random_instance
 from repro.detect.netlist import Netlist
 from repro.hazards import Transition, hazard_free_solution_exists
-from repro.hazards.instance import HazardFreeInstance
 from repro.hf import espresso_hf
 from repro.simulate import (
     find_glitch,

@@ -15,7 +15,6 @@ import pytest
 from repro.cubes.cube import Cube, LITERAL_DC
 from repro.cubes.cover import Cover
 from repro.detect import DetectOptions, detect_cover, detect_netlist
-from repro.guard.budget import RunBudget
 from repro.guard.errors import BudgetExceeded
 from repro.hazards.instance import HazardFreeInstance
 from repro.hazards.transitions import Transition
