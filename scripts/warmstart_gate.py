@@ -12,6 +12,9 @@ For every benchmark circuit this script builds a deterministic edit chain
   own session (the identical-mode short-circuit, the common case of an
   editing session).
 
+Each arm runs on its own freshly built copy of the chain, so both pay
+the derived-set construction an instance memoizes on first use.
+
 Three properties are enforced on every warm result, not sampled:
 
 1. the warm cover is **byte-identical** to the cold cover of the same
@@ -102,10 +105,12 @@ def run_gate(
     edits_cold = edits_warm = 0.0
     total_hits = total_warmable = 0
     for name in circuits:
-        # random.Random seeds str/bytes stably across processes, unlike
-        # tuple hashes (PYTHONHASHSEED).
-        rng = random.Random(f"{seed}:{name}")
-        chain = build_edit_chain(build_benchmark(name), edits, rng)
+        # One chain per arm (module doc).  random.Random seeds str/bytes
+        # stably across processes, unlike tuple hashes (PYTHONHASHSEED).
+        cold_chain, chain = (
+            build_edit_chain(build_benchmark(name), edits, random.Random(f"{seed}:{name}"))
+            for _ in range(2)
+        )
         base, _ = _run_cold(chain[0], options)
         if base.session is None:
             problems.append(f"{name}: base run captured no session")
@@ -115,7 +120,7 @@ def run_gate(
         hits = warmable = 0
         modes = []
         for i, edited in enumerate(chain[1:], 1):
-            cold, t_cold = _run_cold(edited, options)
+            cold, t_cold = _run_cold(cold_chain[i], options)
             cold_text = format_cover(cold.cover, name=f"{name}@e{i}")
             # The edit gets the predecessor's session (and runs cold),
             # then identical resubmits get the edit's own — the no-op

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cubes.cube import Cube, minterm_bits
 
@@ -40,6 +40,26 @@ class CoverColumns:
             found &= codes[inbits & 3]
             inbits >>= 2
         return found
+
+    def raise_to_prime(self, inbits: int, rows: Optional[int] = None) -> int:
+        """Raise the literals of ``inbits`` to DC in variable order, each
+        while the raised cube meets none of the cubes ``rows`` (default:
+        all): the greedy prime expansion against an OFF cover.  Raising
+        ``i`` is legal iff the decided columns below ``i``, the DC column
+        of ``i`` and the original columns above ``i`` AND to 0, so one
+        sweep of O(n) ANDs gives the prime (a refused raise stays refused).
+        """
+        before = (1 << len(self.cubes)) - 1 if rows is None else rows
+        suffix = [before]
+        for i in reversed(range(len(self.by_literal))):
+            suffix.append(suffix[-1] & self.by_literal[i][(inbits >> (2 * i)) & 3])
+        for i, codes in enumerate(self.by_literal):
+            code = (inbits >> (2 * i)) & 3
+            if code != 3 and not (before & codes[3] & suffix[-2 - i]):
+                inbits |= 3 << (2 * i)
+                code = 3
+            before &= codes[code]
+        return inbits
 
     def containing(self, inbits: int) -> int:
         """The cubes whose input part contains the input part ``inbits``."""

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cubes.cube import Cube, LITERAL_DC
-from repro.cubes.cover import Cover
-
-
-def cube_clear_of(cube: Cube, off: Cover) -> bool:
-    """True iff ``cube`` intersects no cube of the OFF-set cover."""
-    return not any(cube.intersects_input(o) for o in off)
+from repro.cubes.cube import Cube
+from repro.cubes.cover import Cover, CoverColumns
 
 
 def expand_cover(cover: Cover, off: Cover) -> Cover:
@@ -25,19 +20,20 @@ def expand_cover(cover: Cover, off: Cover) -> Cover:
     order = sorted(
         range(len(cover.cubes)), key=lambda i: (cover.cubes[i].num_dc(), cover.cubes[i].inbits)
     )
+    off_columns = off.columns()
     cubes: List[Optional[Cube]] = list(cover.cubes)
     for idx in order:
         cube = cubes[idx]
         if cube is None:
             continue
-        cube = _expand_one(cube, idx, cubes, off)
+        cube = _expand_one(cube, idx, cubes, off_columns)
         cubes[idx] = cube
     out = Cover(cover.n_inputs, (), cover.n_outputs)
     out.cubes = [c for c in cubes if c is not None]
     return out
 
 
-def _expand_one(cube: Cube, idx: int, cubes: List[Optional[Cube]], off: Cover) -> Cube:
+def _expand_one(cube: Cube, idx: int, cubes: List[Optional[Cube]], off: CoverColumns) -> Cube:
     # Phase 1: greedily absorb whole cubes ("feasibly covered" in Espresso).
     while True:
         best_j = None
@@ -47,7 +43,7 @@ def _expand_one(cube: Cube, idx: int, cubes: List[Optional[Cube]], off: Cover) -
             if other is None or j == idx or cube.contains(other):
                 continue
             sup = cube.supercube(other)
-            if not cube_clear_of(sup, off):
+            if off.meeting(sup.inbits):
                 continue
             gain = sum(
                 1
@@ -63,20 +59,5 @@ def _expand_one(cube: Cube, idx: int, cubes: List[Optional[Cube]], off: Cover) -
             if k != idx and cubes[k] is not None and cube.contains(cubes[k]):
                 cubes[k] = None
     # Phase 2: raise single literals until prime.
-    cube = expand_to_prime(cube, off)
-    return cube
-
-
-def expand_to_prime(cube: Cube, off: Cover) -> Cube:
-    """Raise specified literals one at a time while the cube stays OFF-free."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(cube.n_inputs):
-            if cube.literal(i) == LITERAL_DC:
-                continue
-            raised = cube.with_literal(i, LITERAL_DC)
-            if cube_clear_of(raised, off):
-                cube = raised
-                changed = True
-    return cube
+    inbits = off.raise_to_prime(cube.inbits)
+    return Cube(cube.n_inputs, inbits, cube.outbits, cube.n_outputs)

@@ -6,7 +6,6 @@ from typing import List, Optional
 
 from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
-from repro.espresso.expand import cube_clear_of, expand_to_prime
 from repro.espresso.irredundant import irredundant_cover
 from repro.espresso.reduce_ import max_reduce
 
@@ -28,12 +27,14 @@ def last_gasp(cover: Cover, dc: Optional[Cover], off: Cover) -> Cover:
         r = max_reduce(cube, others)
         if r is not None:
             reduced.append(r)
+    off_columns = off.columns()
     candidates: List[Cube] = []
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
             sup = reduced[i].supercube(reduced[j])
-            if cube_clear_of(sup, off):
-                candidates.append(expand_to_prime(sup, off))
+            if not off_columns.meeting(sup.inbits):
+                inbits = off_columns.raise_to_prime(sup.inbits)
+                candidates.append(Cube(sup.n_inputs, inbits, sup.outbits, sup.n_outputs))
     if not candidates:
         return cover
     trial = cover.copy()

@@ -385,9 +385,9 @@ def espresso_hf(
     captured from an earlier run.  The planner
     (:func:`repro.session.plan_warm_start`) picks one of two modes,
     reported on ``HFResult.warm`` and in the trace: *identical* (equal
-    signatures) returns the session cover directly after the Theorem 2.11
-    verifier re-accepts it; *cold* ignores the session, so an edited
-    instance gets the cold cover by construction.  A bad session can only
+    signatures and options) returns the session cover directly after the
+    Theorem 2.11 verifier re-accepts it; *cold* ignores the session, so an
+    edited instance gets the cold cover by construction.  A bad session can only
     ever cost the planning time, never correctness.
 
     ``capture_session=True`` attaches a freshly captured session to
@@ -413,9 +413,7 @@ def espresso_hf(
         from repro.session.warm import plan_warm_start
 
         t_plan = time.perf_counter()
-        plan = plan_warm_start(
-            warm_start, instance, assume_identical=warm_assume_identical
-        )
+        plan = plan_warm_start(warm_start, instance, options, warm_assume_identical)
         warm_mode = plan.mode
         warm_reason = f":{plan.reasons[0]}" if plan.reasons else ""
         warm_plan_seconds = time.perf_counter() - t_plan
@@ -493,6 +491,7 @@ def espresso_hf(
                 best=state.best,
                 iterations=state.iterations,
                 num_canonical_required=len(state.qf),
+                options=options,
             )
         else:
             # Sessions only ever seed from converged runs; a degraded

@@ -11,7 +11,9 @@ the same instance:
   formatting or comment edits cost nothing,
 * the canonical key of :func:`repro.serve.canon.canonicalize` (when the
   caller computed one), which is the session-store address on the serve
-  path.
+  path,
+* the cover-shaping options of the producing run (:func:`options_record`):
+  the planner short-circuits only under equal options.
 
 Cubes serialize as ``[inbits, outbits]`` integer pairs — the 2-bits-per-
 variable encoding is already a plain int, and Python's ``json`` round-
@@ -25,7 +27,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.cubes.cube import Cube
+from repro.guard.bundle import options_to_dict
 from repro.hazards.instance import HazardFreeInstance
+from repro.hf.espresso_hf import EspressoHFOptions
 
 #: bump when the serialized layout changes; ``plan_warm_start`` falls back
 #: cold on any mismatch rather than guessing at old layouts
@@ -66,6 +70,16 @@ def signature_of(instance: HazardFreeInstance) -> Dict[str, Any]:
     }
 
 
+def options_record(options=None) -> Dict[str, Any]:
+    """The cover-shaping fields of ``options`` (``None`` = the defaults),
+    as JSON: the bundle's option fields without ``jobs``, which
+    ``espresso_hf`` ignores.  Budget and checked mode shape no cover."""
+    record = options_to_dict(options or EspressoHFOptions())
+    del record["jobs"]
+    record.pop("budget", None)
+    return json.loads(json.dumps(record))
+
+
 def _cube_pairs(cubes) -> List[List[int]]:
     return [[c.inbits, c.outbits] for c in cubes]
 
@@ -75,7 +89,8 @@ class MinimizationSession:
     """Capture of one successful minimization run, restore-ready.
 
     ``signature`` is :func:`signature_of` applied to the
-    producing instance.  ``canonical_key`` is optional — offline captures
+    producing instance, ``options`` the producing run's
+    :func:`options_record`.  ``canonical_key`` is optional — offline captures
     may skip the canonicalization cost — but required for storage in a
     :class:`~repro.session.store.SessionStore`.
     """
@@ -88,6 +103,7 @@ class MinimizationSession:
     essentials: List[List[int]] = field(default_factory=list)
     best: Optional[List[List[int]]] = None
     canonical_key: Optional[str] = None
+    options: Optional[Dict[str, Any]] = None
     num_canonical_required: int = 0
     iterations: int = 0
     status: str = "ok"
@@ -129,6 +145,7 @@ class MinimizationSession:
                 else [list(pair) for pair in self.best]
             ),
             "canonical_key": self.canonical_key,
+            "options": self.options,
             "num_canonical_required": self.num_canonical_required,
             "iterations": self.iterations,
             "status": self.status,
@@ -163,6 +180,7 @@ class MinimizationSession:
                     else [[int(a), int(b)] for a, b in data["best"]]
                 ),
                 canonical_key=data.get("canonical_key"),
+                options=data.get("options"),
                 num_canonical_required=int(
                     data.get("num_canonical_required", 0)
                 ),
@@ -191,12 +209,13 @@ def capture_session(
     iterations: int = 0,
     num_canonical_required: int = 0,
     canonical_key: Optional[str] = None,
+    options=None,
 ) -> MinimizationSession:
     """Capture a finished run's state into a session.
 
     Callers that know the canonical key (the serve path, `--session-out`
     with canonicalization enabled) pass it so the session is
-    store-addressable.
+    store-addressable.  ``options`` are the run's options.
     """
     return MinimizationSession(
         name=instance.name,
@@ -207,6 +226,7 @@ def capture_session(
         essentials=_cube_pairs(essentials),
         best=None if best is None else _cube_pairs(best),
         canonical_key=canonical_key,
+        options=options_record(options),
         num_canonical_required=num_canonical_required,
         iterations=iterations,
         status="ok",

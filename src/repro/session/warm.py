@@ -4,15 +4,15 @@ Given a stored :class:`~repro.session.MinimizationSession` and the newly
 submitted instance, :func:`plan_warm_start` decides one of two modes:
 
 ``identical``
-    The ordered signatures are equal — the minimizer cannot distinguish
-    the instances, so the session cover *is* the cold cover.  The cover
-    is still re-verified with the Theorem 2.11 checker (defence against
-    corrupt or hand-edited sessions) and the plan falls back cold on a
-    violation.
+    The ordered signatures and the cover-shaping options are equal — the
+    minimizer cannot distinguish the runs, so the session cover *is* the
+    cold cover.  The cover is still re-verified with the Theorem 2.11
+    checker (defence against corrupt or hand-edited sessions) and the plan
+    falls back cold on a violation.
 ``cold``
-    Anything else — an edit, a shape or version mismatch, a session that
-    failed verification: run as if no session existed, so the cover is
-    the cold cover by construction.
+    Anything else — an edit, other options, a shape or version mismatch,
+    a session that failed verification: run as if no session existed, so
+    the cover is the cold cover by construction.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.hazards.verify import verify_hazard_free_cover
 from repro.session.session import (
     SESSION_VERSION,
     MinimizationSession,
+    options_record,
     signature_of,
 )
 
@@ -45,9 +46,11 @@ class WarmStartPlan:
 def plan_warm_start(
     session: MinimizationSession,
     instance: HazardFreeInstance,
+    options=None,
     assume_identical: bool = False,
 ) -> WarmStartPlan:
-    """Classify a warm-start attempt against ``instance``.
+    """Classify a warm-start attempt against ``instance`` run under
+    ``options`` (``None`` = the default options).
 
     Never raises on bad sessions — every defect downgrades to a cold
     plan with a reason string (surfaced through the ``warmstart.
@@ -78,6 +81,9 @@ def plan_warm_start(
                 f"{instance.n_inputs}x{instance.n_outputs}"
             ],
         )
+    # A session without recorded options (an older file) never matches.
+    if session.options != options_record(options):
+        return WarmStartPlan("cold", ["options differ"])
     if not assume_identical and session.signature != signature_of(instance):
         return WarmStartPlan("cold", ["signatures differ"])
 

@@ -13,7 +13,6 @@ from repro.transform.uf import (
     DEFAULT_PRIME_LIMIT,
     MODES,
     TransformResult,
-    expand_against_off,
     transform_instance,
     transform_netlist,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_PRIME_LIMIT",
     "MODES",
     "TransformResult",
-    "expand_against_off",
     "transform_instance",
     "transform_netlist",
 ]

@@ -7,8 +7,9 @@ practical two-level instantiation in two strengths:
 
 * ``mode="transitions"`` — the *transition-scoped* rewrite.  Take the
   instance's required cubes (Definition 2.9, via
-  :func:`repro.hazards.required.maximal_on_subcubes`) and greedily
-  expand each against the OFF cover to a prime.  For a
+  :func:`repro.hazards.required.maximal_on_subcubes`) and raise each to
+  a prime against its output's OFF cubes (``CoverColumns.raise_to_prime``
+  over ``instance.off_columns``).  For a
   function-hazard-free instance every constant-1 subcube of a specified
   transition lies inside a single required cube (the ``[A, p]``
   downward-closure lemma), so the result is **hazard-free at every
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cubes.containment import maximal
-from repro.cubes.cube import Cube, LITERAL_DC, mask01
+from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
 from repro.detect.netlist import Netlist
 from repro.espresso.primes import PrimeExplosionError, all_primes
@@ -84,35 +85,6 @@ class TransformResult:
         }
 
 
-def expand_against_off(cube: Cube, off: Cover) -> Cube:
-    """Greedily raise literals to don't-care while avoiding ``off``.
-
-    The result is a prime implicant containing ``cube`` (single-output
-    semantics; ``off`` is the OFF cover of one output).
-    """
-    inbits = _expand_rows(cube.inbits, [o.inbits for o in off], cube.n_inputs)
-    return Cube(cube.n_inputs, inbits, cube.outbits, cube.n_outputs)
-
-
-def _expand_rows(inbits: int, off_rows: Sequence[int], n_inputs: int) -> int:
-    """:func:`expand_against_off` on integer rows: variable by variable,
-    raise a literal when the raised row meets no OFF row (a meet with an
-    empty pair is no meet)."""
-    m01 = mask01(n_inputs)
-    for i in range(n_inputs):
-        pair = LITERAL_DC << (2 * i)
-        if inbits & pair == pair:
-            continue
-        cand = inbits | pair
-        for o in off_rows:
-            t = cand & o
-            if (t | t >> 1) & m01 == m01:
-                break
-        else:
-            inbits = cand
-    return inbits
-
-
 def transform_instance(
     instance: HazardFreeInstance,
     mode: str = "transitions",
@@ -128,13 +100,11 @@ def transform_instance(
     # the input parts of the candidate cubes, per output
     per_output: Dict[int, List[int]] = {j: [] for j in range(n_out)}
     if mode == "transitions":
-        off_rows = [
-            [c.inbits for c in off_j] for off_j in instance.off.split_outputs()
-        ]
+        off = instance.off_columns
         for rq in instance.required_cubes():
             if budget is not None:
                 budget.checkpoint("transform")
-            inbits = _expand_rows(rq.cube.inbits, off_rows[rq.output], n)
+            inbits = off.raise_to_prime(rq.cube.inbits, off.by_output[rq.output])
             per_output[rq.output].append(inbits)
     else:
         deadline = None

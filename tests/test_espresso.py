@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cubes import Cube, Cover
 from repro.espresso import espresso, exact_minimize, EspressoOptions
 from repro.espresso.espresso import espresso_multi, is_cover_of
-from repro.espresso.expand import expand_cover, expand_to_prime
+from repro.espresso.expand import expand_cover
 from repro.espresso.reduce_ import reduce_cover, max_reduce
 from repro.espresso.irredundant import irredundant_cover
 from repro.espresso.essential import essential_primes
@@ -38,9 +38,9 @@ class TestExpand:
         # every minterm of a expands to the prime a = "1--"
         assert any(c.input_string() == "1--" for c in result)
 
-    def test_expand_to_prime(self):
+    def test_raise_to_prime(self):
         off = Cover.from_strings(["0-1"])
-        prime = expand_to_prime(Cube.from_string("100"), off)
+        prime = Cube(3, off.columns().raise_to_prime(Cube.from_string("100").inbits))
         # can raise vars 1 and 2? raising var0 would hit off when c=1
         assert not any(prime.intersects_input(o) for o in off)
         for i in range(3):

@@ -6,7 +6,6 @@ from repro.cubes import Cube, Cover
 from repro.espresso import espresso, EspressoOptions
 from repro.espresso.complement import complement
 from repro.espresso.espresso import espresso_multi, is_cover_of
-from repro.espresso.expand import cube_clear_of, expand_to_prime
 from repro.espresso.lastgasp import last_gasp
 from repro.espresso.qm import exact_cover_from_primes
 from repro.espresso.unate import select_active_var
@@ -32,14 +31,14 @@ class TestLastGasp:
 
 
 class TestExpandHelpers:
-    def test_cube_clear_of(self):
-        off = Cover.from_strings(["11-"])
-        assert cube_clear_of(Cube.from_string("00-"), off)
-        assert not cube_clear_of(Cube.from_string("1--"), off)
+    def test_meeting_clearance(self):
+        off = Cover.from_strings(["11-"]).columns()
+        assert not off.meeting(Cube.from_string("00-").inbits)
+        assert off.meeting(Cube.from_string("1--").inbits)
 
-    def test_expand_to_prime_no_off(self):
-        prime = expand_to_prime(Cube.from_string("101"), Cover(3))
-        assert prime.input_string() == "---"
+    def test_raise_to_prime_no_off(self):
+        inbits = Cover(3).columns().raise_to_prime(Cube.from_string("101").inbits)
+        assert Cube(3, inbits).input_string() == "---"
 
 
 class TestUnateHelpers:

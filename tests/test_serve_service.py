@@ -162,6 +162,27 @@ class TestWarmStart:
         # The warm result chains: it carries its own warm_key.
         assert isinstance(warm.get("warm_key"), str)
 
+    def test_other_options_run_cold(self, client):
+        # A stored session serves only the options it was captured under.
+        pla = bench_pla("dram-ctrl")
+        options = {"make_prime": False}
+        base = client.minimize(pla, session=True, no_cache=True)
+        cold = client.minimize(pla, options=options, no_cache=True)
+        assert cold["cover_pla"] != base["cover_pla"]
+        fallbacks_before = self._metric(client, "warmstart.fallbacks")
+        warm = client.minimize(
+            pla, options=options, warm_key=base["warm_key"], no_cache=True
+        )
+        assert warm["ok"] and warm.get("warm") == "cold"
+        assert warm["cover_pla"] == cold["cover_pla"]
+        assert self._metric(client, "warmstart.fallbacks") > fallbacks_before
+        # The chain continues under the new options.
+        again = client.minimize(
+            pla, options=options, warm_key=warm["warm_key"], no_cache=True
+        )
+        assert again.get("warm") == "identical"
+        assert again["cover_pla"] == cold["cover_pla"]
+
     def test_unknown_warm_key_falls_back_cold(self, client):
         fallbacks_before = self._metric(client, "warmstart.fallbacks")
         reply = client.minimize(

@@ -2,7 +2,7 @@
 
 The contract under test (docs/WARMSTART.md): a run given a session
 returns a cover **byte-identical** to the cold run of the same instance.
-Identical mode (equal signatures) short-circuits to the session cover
+Identical mode (equal signatures and options) short-circuits to the session cover
 only after the Theorem 2.11 verifier re-accepts it; every other instance
 runs cold.  A derandomized Hypothesis differential drives seeded chains
 of transition-drop edits through both arms.
@@ -152,6 +152,77 @@ class TestPlanner:
         assert "warm:cold:signatures differ" in warm.trace
         ident = espresso_hf(chain[0], warm_start=session)
         assert ident.warm == "identical"
+
+
+class TestOptions:
+    """A session short-circuits only under the options it was captured
+    under: another option set gets its own cold cover."""
+
+    @pytest.mark.parametrize(
+        "name, changed",
+        [
+            ("cache-ctrl", {"use_essentials": False}),
+            ("dram-ctrl", {"make_prime": False}),
+            ("sd-control", {"use_last_gasp": False, "exact_irredundant": False}),
+        ],
+    )
+    def test_other_options_run_cold(self, name, changed):
+        inst = build_benchmark(name)
+        session = cold_with_session(inst).session
+        options = EspressoHFOptions(**changed)
+        cold = espresso_hf(inst, options)
+        warm = espresso_hf(inst, options, warm_start=session)
+        assert warm.warm == "cold"
+        assert "warm:cold:options differ" in warm.trace
+        assert format_cover(warm.cover) == format_cover(cold.cover)
+
+    def test_options_that_do_not_shape_the_cover_still_hit(self):
+        inst = build_benchmark("dram-ctrl")
+        session = cold_with_session(inst).session
+        for options in (
+            EspressoHFOptions(jobs=4),
+            EspressoHFOptions(checked=True),
+            EspressoHFOptions(budget=RunBudget(wall_s=60.0)),
+        ):
+            assert espresso_hf(inst, options, warm_start=session).warm == (
+                "identical"
+            )
+
+    def test_session_serves_its_own_options_after_json(self):
+        inst = build_benchmark("dram-ctrl")
+        options = EspressoHFOptions(passes=("essentials", "loop"))
+        first = espresso_hf(inst, options, capture_session=True)
+        session = MinimizationSession.from_dict(
+            json.loads(json.dumps(first.session.to_dict()))
+        )
+        assert plan_warm_start(session, inst, options).mode == "identical"
+        assert plan_warm_start(session, inst).mode == "cold"
+
+    def test_session_without_options_runs_cold(self):
+        inst = build_benchmark("dram-ctrl")
+        data = cold_with_session(inst).session.to_dict()
+        del data["options"]
+        session = MinimizationSession.from_dict(data)
+        assert session.options is None
+        plan = plan_warm_start(session, inst)
+        assert plan.mode == "cold" and plan.reasons == ["options differ"]
+
+    def test_cli_session_in_under_other_options(self, tmp_path, capsys):
+        from repro.cli import EXIT_OK, main
+        from repro.pla import write_pla
+
+        pla = tmp_path / "dram.pla"
+        write_pla(build_benchmark("dram-ctrl"), pla)
+        saved = str(tmp_path / "s.session.json")
+        assert main([str(pla), "--session-out", saved]) == EXIT_OK
+        capsys.readouterr()
+        assert main([str(pla), "--no-make-prime"]) == EXIT_OK
+        cold = capsys.readouterr().out
+        args = [str(pla), "--session-in", saved, "--no-make-prime", "--stats"]
+        assert main(args) == EXIT_OK
+        warm = capsys.readouterr()
+        assert "# warm start: cold" in warm.err
+        assert warm.out == cold
 
 
 def assert_chain_matches_cold(chain, options=None):

@@ -20,7 +20,6 @@ from repro.hazards.instance import HazardFreeInstance
 from repro.hazards.transitions import Transition
 from repro.proptest.strategies import seeded_instance
 from repro.transform import (
-    expand_against_off,
     extract_covers,
     transform_instance,
     transform_netlist,
@@ -36,18 +35,21 @@ def consensus_instance():
     return HazardFreeInstance(on, off, [t], name="consensus")
 
 
-class TestExpandAgainstOff:
+class TestRaiseAgainstOff:
+    """The u(f) raise: ``CoverColumns.raise_to_prime`` over the OFF columns."""
+
     def test_result_contains_input_and_avoids_off(self):
         inst = consensus_instance()
         for cube in inst.on:
-            expanded = expand_against_off(cube, inst.off)
+            inbits = inst.off_columns.raise_to_prime(cube.inbits)
+            expanded = Cube(inst.n_inputs, inbits)
             assert expanded.contains_input(cube)
             for other in inst.off:
                 assert not expanded.intersects_input(other)
 
     def test_free_function_expands_to_tautology(self):
         cube = Cube.from_literals([2, 2])
-        expanded = expand_against_off(cube, Cover(2, []))
+        expanded = Cube(2, Cover(2, []).columns().raise_to_prime(cube.inbits))
         assert all(expanded.literal(i) == LITERAL_DC for i in range(2))
 
 
