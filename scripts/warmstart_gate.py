@@ -2,8 +2,7 @@
 """Warm-start differential gate over the benchmark suite.
 
 For every benchmark circuit this script builds a deterministic edit chain
-(chained single-transition drops, the same edit model as ``loadgen.py
---edit-workload``) and re-minimizes each edit twice:
+(chained single-transition drops) and re-minimizes each edit twice:
 
 * **cold** — plain :func:`repro.hf.espresso_hf`, no session;
 * **warm** — given the :class:`repro.session.MinimizationSession`
@@ -79,14 +78,10 @@ def _run_cold(inst, options):
     return result, time.perf_counter() - t0
 
 
-def _run_warm(inst, options, session, assume_identical=False):
+def _run_warm(inst, options, session):
     t0 = time.perf_counter()
     result = espresso_hf(
-        inst,
-        options,
-        warm_start=session,
-        capture_session=True,
-        warm_assume_identical=assume_identical,
+        inst, options, warm_start=session, capture_session=True
     )
     return result, time.perf_counter() - t0
 
@@ -129,9 +124,7 @@ def run_gate(
             # stands in for all of them (same bytes, same work).
             for r in range(1 + max(0, resubmits)):
                 identical = r > 0
-                warm, t_warm = _run_warm(
-                    edited, options, session, assume_identical=identical
-                )
+                warm, t_warm = _run_warm(edited, options, session)
                 session = warm.session or session
                 warmable += 1
                 warm_s += t_warm

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 from repro.cubes.cube import Cube, LITERAL_ONE, LITERAL_ZERO, empty_pairs, full_input_mask
 from repro.cubes.cover import Cover
 from repro.cubes.containment import maximal_cubes
+from repro.espresso.complement import _lit_cofactor
 from repro.espresso.unate import select_binate_var
 
 
@@ -150,9 +151,3 @@ def _primes_rec(
                 candidates.append(meet)
     _check(len(candidates), limit, deadline)
     return maximal_cubes(candidates)
-
-
-def _lit_cofactor(cover: Cover, var: int, value: int) -> Cover:
-    lit = LITERAL_ONE if value else LITERAL_ZERO
-    point = Cube.full(cover.n_inputs, cover.n_outputs).with_literal(var, lit)
-    return cover.cofactor(point)

@@ -34,6 +34,7 @@ any library objects; the worker callable crosses it pickled by name.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import time
 from collections import deque
@@ -118,7 +119,6 @@ def guarded_espresso_hf(
     max_shrink_evaluations: int = 200,
     warm_start=None,
     capture_session: bool = False,
-    warm_assume_identical: bool = False,
 ):
     """Run :func:`espresso_hf` under the full guard policy.
 
@@ -150,7 +150,6 @@ def guarded_espresso_hf(
             options,
             warm_start=warm_start,
             capture_session=capture_session,
-            warm_assume_identical=warm_assume_identical,
         )
     except (NoSolutionError, BudgetExceeded):
         raise
@@ -238,21 +237,10 @@ def pla_payload(
     verify: bool = True,
     timeout_s: Optional[float] = None,
     collect_spans: bool = False,
-    warm_session: Optional[Dict[str, Any]] = None,
-    capture_session: bool = False,
 ) -> Dict[str, Any]:
-    """Work item for one extended-PLA instance (the CLI's ``--timeout``).
-
-    ``warm_session`` is a serialized :class:`repro.session.MinimizationSession`
-    dict (``to_dict`` form — plain JSON, so it survives the process
-    boundary) captured from a run on this very ``pla_text``: its presence
-    is the caller's proof of instance identity, so the worker skips
-    re-validation and the planner skips signature re-derivation (the
-    Theorem 2.11 re-verification of its cover still runs).
-    ``capture_session`` asks the worker to ship a session back on the row
-    (``row["session"]``).  See docs/WARMSTART.md.
-    """
-    payload = {
+    """Work item for one extended-PLA instance (the CLI's ``--timeout``
+    and every ``serve`` cache miss)."""
+    return {
         "kind": "pla",
         "name": name,
         "pla_text": pla_text,
@@ -264,11 +252,6 @@ def pla_payload(
         "timeout_s": timeout_s,
         "collect_spans": collect_spans,
     }
-    if warm_session is not None:
-        payload["warm_session"] = warm_session
-    if capture_session:
-        payload["capture_session"] = True
-    return payload
 
 
 def per_output_payload(
@@ -308,14 +291,9 @@ def _build_instance(payload: Dict[str, Any]):
         return build_benchmark(payload["name"])
     from repro.pla import parse_pla
 
-    # A shipped session proves this exact byte sequence already passed
-    # validation in the run that produced it (sessions are only stored
-    # from status=="ok" runs), so re-validating the deterministic parse
-    # result proves nothing new.
-    validate = payload.get("warm_session") is None
     return parse_pla(
         payload["pla_text"], name=payload.get("name", "pla")
-    ).to_instance(validate=validate)
+    ).to_instance()
 
 
 def failure_fields(exc: BaseException) -> Dict[str, Any]:
@@ -376,20 +354,6 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     if inject:
         apply_option_faults(inject, options)
     collect_spans = bool(payload.get("collect_spans"))
-    capture_session = bool(payload.get("capture_session"))
-    # A shipped session was captured from this very text (pla_payload), so
-    # the planner may take the instance as identical.
-    warm_start = None
-    warm_error: Optional[str] = None
-    if payload.get("warm_session") is not None:
-        from repro.session import MinimizationSession
-
-        try:
-            warm_start = MinimizationSession.from_dict(payload["warm_session"])
-        except ValueError as exc:
-            # A malformed session must never fail the request — the run
-            # proceeds cold and the row records why.
-            warm_error = f"session rejected: {exc}"
     best_time: Optional[float] = None
     best = None
     best_spans: Optional[List[Dict[str, Any]]] = None
@@ -399,28 +363,16 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             if options.budget is not None:
                 options.budget.reset()
             tracer = None
-            t0 = time.perf_counter()
+            scope = contextlib.nullcontext()
             if collect_spans:
                 from repro.obs import Tracer, activate
 
                 tracer = Tracer()
-                with activate(tracer):
-                    result = guarded_espresso_hf(
-                        instance,
-                        options,
-                        bundle_dir=bundle_dir,
-                        warm_start=warm_start,
-                        capture_session=capture_session,
-                        warm_assume_identical=True,
-                    )
-            else:
+                scope = activate(tracer)
+            t0 = time.perf_counter()
+            with scope:
                 result = guarded_espresso_hf(
-                    instance,
-                    options,
-                    bundle_dir=bundle_dir,
-                    warm_start=warm_start,
-                    capture_session=capture_session,
-                    warm_assume_identical=True,
+                    instance, options, bundle_dir=bundle_dir
                 )
             elapsed = time.perf_counter() - t0
             times.append(elapsed)
@@ -451,12 +403,6 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             "error": None,
         }
     )
-    if warm_start is not None or warm_error is not None:
-        row["warm"] = best.warm if warm_error is None else "cold"
-        if warm_error is not None:
-            row["warm_error"] = warm_error
-    if best.session is not None:
-        row["session"] = best.session.to_dict()
     if collect_spans:
         from repro.obs import MetricsRegistry, publish_result_metrics
 
@@ -470,15 +416,7 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     if payload.get("verify", True):
         from repro.hazards.verify import verify_hazard_free_cover
 
-        if best.warm == "identical":
-            # The identical-mode short circuit only fires after
-            # plan_warm_start ran the Theorem 2.11 verifier on this exact
-            # cover against this exact instance (warm_cubes_reverified in
-            # the counters); repeating the check here would double the
-            # cost of the fast path for no new information.
-            violations = []
-        else:
-            violations = verify_hazard_free_cover(instance, best.cover)
+        violations = verify_hazard_free_cover(instance, best.cover)
         row["verified"] = not violations
         if violations:
             row["status"] = "invariant_violation"

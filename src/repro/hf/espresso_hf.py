@@ -371,7 +371,6 @@ def espresso_hf(
     options: Optional[EspressoHFOptions] = None,
     warm_start=None,
     capture_session: bool = False,
-    warm_assume_identical: bool = False,
 ) -> HFResult:
     """Minimize a hazard-free instance heuristically (the paper's algorithm).
 
@@ -385,19 +384,13 @@ def espresso_hf(
     captured from an earlier run.  The planner
     (:func:`repro.session.plan_warm_start`) picks one of two modes,
     reported on ``HFResult.warm`` and in the trace: *identical* (equal
-    signatures and options) returns the session cover directly after the
-    Theorem 2.11 verifier re-accepts it; *cold* ignores the session, so an
-    edited instance gets the cold cover by construction.  A bad session can only
-    ever cost the planning time, never correctness.
+    signatures and options, no budget) returns the session cover directly
+    after the Theorem 2.11 verifier re-accepts it; *cold* ignores the
+    session, so an edited instance gets the cold cover by construction.  A
+    bad session can only ever cost the planning time, never correctness.
 
     ``capture_session=True`` attaches a freshly captured session to
     ``HFResult.session`` on ``status == "ok"`` runs.
-
-    ``warm_assume_identical=True`` forwards the caller's external proof
-    that ``instance`` is the very instance the session came from (e.g.
-    byte-identical source text) to the planner, which then skips the
-    signature derivation; the defensive Theorem 2.11 re-verification is
-    never skipped.
     """
     options = options or EspressoHFOptions()
     t_start = time.perf_counter()
@@ -413,7 +406,7 @@ def espresso_hf(
         from repro.session.warm import plan_warm_start
 
         t_plan = time.perf_counter()
-        plan = plan_warm_start(warm_start, instance, options, warm_assume_identical)
+        plan = plan_warm_start(warm_start, instance, options)
         warm_mode = plan.mode
         warm_reason = f":{plan.reasons[0]}" if plan.reasons else ""
         warm_plan_seconds = time.perf_counter() - t_plan

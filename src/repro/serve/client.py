@@ -77,8 +77,6 @@ class ServeClient:
         no_cache: bool = False,
         inject: Optional[Dict[str, Any]] = None,
         req_id: Optional[str] = None,
-        warm_key: Optional[str] = None,
-        session: bool = False,
     ) -> Dict[str, Any]:
         message: Dict[str, Any] = {
             "op": "minimize",
@@ -97,10 +95,6 @@ class ServeClient:
             message["no_cache"] = True
         if inject is not None:
             message["inject"] = inject
-        if warm_key is not None:
-            message["warm_key"] = warm_key
-        if session:
-            message["session"] = True
         return self.request(message)
 
     def ping(self) -> Dict[str, Any]:

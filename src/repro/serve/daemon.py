@@ -154,16 +154,13 @@ class MinimizationServer:
             self._record_span("serve.request", t0, op="?", status=reply["status"])
             return reply
         reply = await self._dispatch(req)
-        attrs: Dict[str, Any] = {
-            "op": req.op,
-            "status": reply.get("status", "?"),
-            "cached": bool(reply.get("cached")),
-        }
-        if reply.get("warm") is not None:
-            # Distinguish warm-started requests from cold ones per span
-            # (docs/WARMSTART.md): "identical" | "cold".
-            attrs["warm"] = reply["warm"]
-        self._record_span("serve.request", t0, **attrs)
+        self._record_span(
+            "serve.request",
+            t0,
+            op=req.op,
+            status=reply.get("status", "?"),
+            cached=bool(reply.get("cached")),
+        )
         return reply
 
     async def _dispatch(self, req: Request) -> Dict[str, Any]:
@@ -293,9 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=defaults.quarantine_threshold)
     parser.add_argument("--cache-entries", type=int,
                         default=defaults.cache_entries)
-    parser.add_argument("--session-entries", type=int,
-                        default=defaults.session_entries,
-                        help="warm-start session store capacity")
     parser.add_argument("--max-inputs", type=int, default=defaults.max_inputs)
     parser.add_argument("--max-cubes", type=int, default=defaults.max_cubes)
     parser.add_argument("--bundle-dir", default=defaults.bundle_dir)
@@ -328,7 +322,6 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
         max_retries=args.max_retries,
         quarantine_threshold=args.quarantine_threshold,
         cache_entries=args.cache_entries,
-        session_entries=args.session_entries,
         bundle_dir=args.bundle_dir,
         drain_timeout_s=args.drain_timeout,
         checked=args.checked,

@@ -16,12 +16,10 @@ Requests
     yields a *degraded* best-verified cover, not a failure), ``checked``
     (phase-boundary invariants on), ``no_cache`` (bypass the result
     cache), ``inject`` (test-only fault seam, honoured only when the
-    daemon runs with ``--allow-test-faults``), ``session`` (capture a
-    warm-start session server-side; the response's ``warm_key`` names
-    it), ``warm_key`` (return the cover of a previously captured session
-    when the text is byte-identical to the one that produced it — see
-    ``docs/WARMSTART.md``; an edit, or an unknown or unusable key, runs
-    cold, never an error).
+    daemon runs with ``--allow-test-faults``).  Unknown fields are
+    ignored, so a client that still sends the retired warm-start session
+    fields gets the plain answer: the result cache is the service's one
+    memo.
 ``{"op": "ping"}``
     Liveness probe; echoes the protocol version.
 ``{"op": "stats"}``
@@ -81,8 +79,6 @@ class Request:
     checked: bool = False
     no_cache: bool = False
     inject: Optional[Dict[str, Any]] = None
-    warm_key: Optional[str] = None
-    session: bool = False
 
 
 def parse_request(line: str) -> Request:
@@ -123,9 +119,6 @@ def parse_request(line: str) -> Request:
             not isinstance(value, (int, float)) or value <= 0
         ):
             raise ProtocolError(f"{key} must be a positive number")
-    warm_key = data.get("warm_key")
-    if warm_key is not None and not isinstance(warm_key, str):
-        raise ProtocolError("warm_key must be a string")
     return Request(
         op="minimize",
         id=req_id,
@@ -136,8 +129,6 @@ def parse_request(line: str) -> Request:
         checked=bool(data.get("checked", False)),
         no_cache=bool(data.get("no_cache", False)),
         inject=inject,
-        warm_key=warm_key,
-        session=bool(data.get("session", False)),
     )
 
 

@@ -64,7 +64,6 @@ from repro.guard.errors import (
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import TIME_BUCKETS_S
 from repro.serve.cache import MalformedCache, ResultCache, options_fingerprint
-from repro.session.store import SessionStore
 from repro.serve.canon import CanonicalForm, canonicalize
 from repro.serve.protocol import Request, response
 
@@ -88,7 +87,6 @@ class ServeConfig:
     backoff_cap_s: float = 2.0
     quarantine_threshold: int = 2
     cache_entries: int = 1024
-    session_entries: int = 256
     malformed_cache_entries: int = 1024
     canon_memo_entries: int = 512
     bundle_dir: str = "artifacts"
@@ -115,14 +113,6 @@ class _Job:
     no_cache: bool
     timeout_s: float
     inject: Optional[Dict[str, Any]]
-    #: the request named a ``warm_key``: its reply carries a ``warm`` field
-    warm_requested: bool = False
-    #: serialized MinimizationSession looked up from the session store,
-    #: shipped only when the request text is byte-identical to the text
-    #: that produced it; None runs cold
-    warm_session: Optional[Dict[str, Any]] = None
-    #: ship a session back on the row and store it under the canonical key
-    capture_session: bool = False
     future: "asyncio.Future" = field(repr=False, default=None)
     enqueued_at: float = 0.0
 
@@ -142,11 +132,9 @@ class Supervisor:
         self.malformed_cache = MalformedCache(
             self.config.malformed_cache_entries
         )
-        self.sessions = SessionStore(self.config.session_entries)
         # Canonicalization is a pure function of the PLA text, so repeated
-        # submissions of byte-identical text (edit workloads resubmit the
-        # same circuit many times) can skip parse + bounds + canonicalize
-        # entirely.  Keyed by text digest; LRU-bounded.
+        # submissions of byte-identical text can skip parse + bounds +
+        # canonicalize entirely.  Keyed by text digest; LRU-bounded.
         self._canon_memo: "OrderedDict[str, Tuple[CanonicalForm, str]]" = (
             OrderedDict()
         )
@@ -410,16 +398,6 @@ class Supervisor:
         timeout_s = min(
             float(req.timeout_s or cfg.job_timeout_s), cfg.job_timeout_s
         )
-        warm_session = None
-        if req.warm_key:
-            entry = self.sessions.get(req.warm_key)
-            if entry is not None and entry["text_sha"] == digest:
-                # Byte-identical text parses deterministically to an
-                # identical instance: the one case a session can serve.
-                warm_session = entry["session"]
-            else:
-                # Unknown or evicted key, or an edit: a plain cold miss.
-                self._count("warmstart.fallbacks")
         return _Job(
             cache_key=(canon.key, fingerprint),
             pla_text=req.pla,
@@ -431,11 +409,6 @@ class Supervisor:
             no_cache=bool(req.no_cache) or inject is not None,
             timeout_s=timeout_s,
             inject=inject,
-            warm_requested=bool(req.warm_key),
-            warm_session=warm_session,
-            # A warm_key request keeps the chain alive: its result is
-            # captured too, so the client can keep editing.
-            capture_session=bool(req.session or req.warm_key),
         )
 
     def _respond_from_canonical(
@@ -461,14 +434,9 @@ class Supervisor:
             "time_s",
             "num_cubes",
             "num_literals",
-            "warm",
         ):
             if outcome.get(name) is not None:
                 fields[name] = outcome[name]
-        if job.capture_session and (
-            outcome.get("session_stored") or job.cache_key[0] in self.sessions
-        ):
-            fields["warm_key"] = job.cache_key[0]
         failures = outcome.get("failures")
         if failures is not None:
             cubes = job.canon.inputs_from_canonical([c for c, _ in failures])
@@ -528,35 +496,8 @@ class Supervisor:
             self._open_futures.discard(job.future)
             if self._inflight.get(job.cache_key) is job.future:
                 del self._inflight[job.cache_key]
-            # The session rides the outcome only across the worker
-            # boundary: it is stored server-side under the canonical key
-            # and never shipped to the client (the ``warm_key`` response
-            # field names it instead).
-            session = outcome.pop("session", None)
-            if session is not None and outcome["status"] == "ok":
-                # The producing text's digest rides along so a later
-                # byte-identical resubmission can be proven identical
-                # without re-deriving signatures.
-                self.sessions.put(
-                    job.cache_key[0],
-                    {
-                        "session": session,
-                        "text_sha": MalformedCache.key_for(job.pla_text),
-                    },
-                )
-                outcome["session_stored"] = True
             if not job.no_cache and BY_WIRE[outcome["status"]].cacheable:
-                # Cache entries outlive this request: strip the per-run
-                # warm-start disposition so a later cache hit does not
-                # replay it.
-                self.cache.put(
-                    job.cache_key,
-                    {
-                        k: v
-                        for k, v in outcome.items()
-                        if k not in ("warm", "session_stored")
-                    },
-                )
+                self.cache.put(job.cache_key, outcome)
             if not job.future.done():
                 job.future.set_result(outcome)
 
@@ -573,8 +514,6 @@ class Supervisor:
                 options=None,
                 checked=job.checked,
                 verify=True,
-                warm_session=job.warm_session,
-                capture_session=job.capture_session,
             )
             payload["options"] = dict(job.options_dict)
             if job.inject is not None:
@@ -636,23 +575,6 @@ class Supervisor:
             "num_literals": row.get("num_literals"),
             "cover_pla": None,
         }
-        if job.warm_requested:
-            outcome["warm"] = row.get("warm") or "cold"
-        if row.get("session") is not None:
-            outcome["session"] = row["session"]
-        if job.warm_session is not None:
-            # Warm-start disposition counters (docs/OBSERVABILITY.md): an
-            # identical-mode short-circuit is a hit; a shipped session the
-            # planner refused counts like a store miss.
-            if row.get("warm") == "identical":
-                self._count("warmstart.hits")
-            else:
-                self._count("warmstart.fallbacks")
-            reverified = (row.get("counters") or {}).get(
-                "warm_cubes_reverified", 0
-            )
-            if reverified:
-                self._count("warmstart.cubes_reverified", int(reverified))
         failures = row.get("failures")
         if failures is not None:
             # Like a cover, the failing cubes are kept in canonical labels
@@ -715,7 +637,6 @@ class Supervisor:
             "estimated_wait_s": round(self._estimated_wait_s(), 4),
             "cache": self.cache.stats(),
             "malformed_cache": self.malformed_cache.stats(),
-            "sessions": self.sessions.stats(),
             "canon_memo_entries": len(self._canon_memo),
             "quarantined": len(self._quarantined),
             "metrics": self.registry.snapshot(),

@@ -20,7 +20,6 @@ from repro.session.session import (
     signature_of,
 )
 from repro.session.warm import WarmStartPlan, plan_warm_start
-from repro.session.store import SessionStore
 
 __all__ = [
     "SESSION_VERSION",
@@ -29,5 +28,4 @@ __all__ = [
     "signature_of",
     "WarmStartPlan",
     "plan_warm_start",
-    "SessionStore",
 ]

@@ -9,9 +9,6 @@ the same instance:
   required, privileged, and OFF cube lists the algorithm actually
   consumes.  Identity is decided on signatures, never on raw text, so
   formatting or comment edits cost nothing,
-* the canonical key of :func:`repro.serve.canon.canonicalize` (when the
-  caller computed one), which is the session-store address on the serve
-  path,
 * the cover-shaping options of the producing run (:func:`options_record`):
   the planner short-circuits only under equal options.
 
@@ -73,7 +70,10 @@ def signature_of(instance: HazardFreeInstance) -> Dict[str, Any]:
 def options_record(options=None) -> Dict[str, Any]:
     """The cover-shaping fields of ``options`` (``None`` = the defaults),
     as JSON: the bundle's option fields without ``jobs``, which
-    ``espresso_hf`` ignores.  Budget and checked mode shape no cover."""
+    ``espresso_hf`` ignores, and without ``budget``.  Checked mode shapes
+    no cover.  A budget does when it runs out, so
+    :func:`~repro.session.plan_warm_start` plans every budgeted run cold
+    and the record need not carry it."""
     record = options_to_dict(options or EspressoHFOptions())
     del record["jobs"]
     record.pop("budget", None)
@@ -90,9 +90,7 @@ class MinimizationSession:
 
     ``signature`` is :func:`signature_of` applied to the
     producing instance, ``options`` the producing run's
-    :func:`options_record`.  ``canonical_key`` is optional — offline captures
-    may skip the canonicalization cost — but required for storage in a
-    :class:`~repro.session.store.SessionStore`.
+    :func:`options_record`.
     """
 
     name: str
@@ -102,7 +100,6 @@ class MinimizationSession:
     signature: Dict[str, Any]
     essentials: List[List[int]] = field(default_factory=list)
     best: Optional[List[List[int]]] = None
-    canonical_key: Optional[str] = None
     options: Optional[Dict[str, Any]] = None
     num_canonical_required: int = 0
     iterations: int = 0
@@ -144,7 +141,6 @@ class MinimizationSession:
                 if self.best is None
                 else [list(pair) for pair in self.best]
             ),
-            "canonical_key": self.canonical_key,
             "options": self.options,
             "num_canonical_required": self.num_canonical_required,
             "iterations": self.iterations,
@@ -157,8 +153,9 @@ class MinimizationSession:
 
         Raises ``ValueError`` on structurally broken input; version skew
         is *not* an error here — the warm planner downgrades it to a cold
-        fallback so stale stores stay usable.  Keys this layout does not
-        know (the memo ``caches`` of older session files) are ignored.
+        fallback so stale session files stay usable.  Keys this layout does not
+        know (the memo ``caches`` and the always-empty ``canonical_key`` of
+        older session files) are ignored.
         """
         if not isinstance(data, dict):
             raise ValueError("session payload must be a dict")
@@ -179,7 +176,6 @@ class MinimizationSession:
                     if data.get("best") is None
                     else [[int(a), int(b)] for a, b in data["best"]]
                 ),
-                canonical_key=data.get("canonical_key"),
                 options=data.get("options"),
                 num_canonical_required=int(
                     data.get("num_canonical_required", 0)
@@ -208,14 +204,11 @@ def capture_session(
     best: Optional[List[Cube]] = None,
     iterations: int = 0,
     num_canonical_required: int = 0,
-    canonical_key: Optional[str] = None,
     options=None,
 ) -> MinimizationSession:
     """Capture a finished run's state into a session.
 
-    Callers that know the canonical key (the serve path, `--session-out`
-    with canonicalization enabled) pass it so the session is
-    store-addressable.  ``options`` are the run's options.
+    ``options`` are the run's options.
     """
     return MinimizationSession(
         name=instance.name,
@@ -225,7 +218,6 @@ def capture_session(
         signature=signature_of(instance),
         essentials=_cube_pairs(essentials),
         best=None if best is None else _cube_pairs(best),
-        canonical_key=canonical_key,
         options=options_record(options),
         num_canonical_required=num_canonical_required,
         iterations=iterations,

@@ -10,9 +10,9 @@ submitted instance, :func:`plan_warm_start` decides one of two modes:
     checker (defence against corrupt or hand-edited sessions) and the plan
     falls back cold on a violation.
 ``cold``
-    Anything else — an edit, other options, a shape or version mismatch,
-    a session that failed verification: run as if no session existed, so
-    the cover is the cold cover by construction.
+    Anything else — an edit, other options, a budget, a shape or version
+    mismatch, a session that failed verification: run as if no session
+    existed, so the cover is the cold cover by construction.
 """
 
 from __future__ import annotations
@@ -47,22 +47,16 @@ def plan_warm_start(
     session: MinimizationSession,
     instance: HazardFreeInstance,
     options=None,
-    assume_identical: bool = False,
 ) -> WarmStartPlan:
     """Classify a warm-start attempt against ``instance`` run under
     ``options`` (``None`` = the default options).
 
     Never raises on bad sessions — every defect downgrades to a cold
-    plan with a reason string (surfaced through the ``warmstart.
-    fallbacks`` counter and the run trace).
+    plan with a reason string (surfaced in the run trace).
 
-    ``assume_identical`` skips the signature derivation and comparison:
-    the caller proved externally that ``instance`` is the same instance
-    the session was captured from (the serve layer does this by digest —
-    byte-identical request text parses deterministically to an identical
-    instance, hence an identical signature).  The defensive Theorem 2.11
-    re-verification of the session cover still runs; only the provably
-    redundant signature work is skipped.
+    A budgeted run always plans cold: a budget that runs out stops the
+    cold run at a snapshot the session's converged cover is not, so only
+    the cold run can give the budgeted answer.
     """
     if session.version != SESSION_VERSION:
         return WarmStartPlan(
@@ -81,10 +75,12 @@ def plan_warm_start(
                 f"{instance.n_inputs}x{instance.n_outputs}"
             ],
         )
+    if options is not None and options.budget is not None:
+        return WarmStartPlan("cold", ["budget set"])
     # A session without recorded options (an older file) never matches.
     if session.options != options_record(options):
         return WarmStartPlan("cold", ["options differ"])
-    if not assume_identical and session.signature != signature_of(instance):
+    if session.signature != signature_of(instance):
         return WarmStartPlan("cold", ["signatures differ"])
 
     # The defensive Theorem 2.11 gate before short-circuiting: a session

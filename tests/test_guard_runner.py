@@ -55,6 +55,22 @@ class TestMinimizePayload:
         cover = parse_pla(row["cover_pla"]).on
         assert len(cover) == row["num_cubes"]
 
+    def test_stale_session_keys_are_ignored(self):
+        # Work items no longer carry sessions; one built by an older
+        # caller with ``warm_session``/``capture_session`` runs the plain
+        # cold pipeline and its row carries no session fields.
+        plain = minimize_payload(pla_payload_for_fig3())
+        stale = dict(
+            pla_payload_for_fig3(),
+            warm_session={"garbage": True},
+            capture_session=True,
+        )
+        row = minimize_payload(stale)
+        assert row["status"] == plain["status"] == "ok"
+        assert row["cover_pla"] == plain["cover_pla"]
+        assert row["verified"] is True
+        assert "warm" not in row and "session" not in row
+
 
 def pla_payload_for_fig3():
     from repro.pla.writer import format_pla

@@ -115,85 +115,6 @@ class TestCaching:
         reply = client.minimize(pla, options={"use_last_gasp": False})
         assert reply["cached"] is False
 
-
-class TestWarmStart:
-    """Session store + warm_key protocol through real sockets."""
-
-    def _metric(self, client, name):
-        metrics = client.stats()["stats"]["metrics"]
-        return metrics.get(name, {}).get("value", 0)
-
-    def test_session_capture_returns_warm_key(self, client):
-        reply = client.minimize(
-            bench_pla("pscsi-tsend"), session=True, no_cache=True
-        )
-        assert reply["ok"]
-        assert isinstance(reply.get("warm_key"), str)
-
-    def test_identical_resubmit_warm_starts(self, client):
-        pla = bench_pla("pscsi-pscsi")
-        base = client.minimize(pla, session=True, no_cache=True)
-        hits_before = self._metric(client, "warmstart.hits")
-        warm = client.minimize(
-            pla, warm_key=base["warm_key"], no_cache=True
-        )
-        assert warm["ok"] and warm["warm"] == "identical"
-        assert warm["cover_pla"] == base["cover_pla"]
-        assert self._metric(client, "warmstart.hits") > hits_before
-
-    def test_edited_resubmit_matches_cold(self, client):
-        from repro.proptest.metamorphic import subset_transitions_instance
-
-        inst = build_benchmark("pscsi-tsend")
-        base = client.minimize(
-            format_pla(inst), session=True, no_cache=True
-        )
-        keep = list(range(len(inst.transitions) - 1))
-        edited = subset_transitions_instance(inst, keep)
-        edited_pla = format_pla(edited)
-        cold = client.minimize(edited_pla, no_cache=True)
-        warm = client.minimize(
-            edited_pla, warm_key=base["warm_key"], no_cache=True
-        )
-        assert warm["ok"] and warm.get("warm") == "cold"
-        assert warm["cover_pla"] == cold["cover_pla"]
-        cover = parse_pla(warm["cover_pla"]).on
-        assert not verify_hazard_free_cover(edited, cover)
-        # The warm result chains: it carries its own warm_key.
-        assert isinstance(warm.get("warm_key"), str)
-
-    def test_other_options_run_cold(self, client):
-        # A stored session serves only the options it was captured under.
-        pla = bench_pla("dram-ctrl")
-        options = {"make_prime": False}
-        base = client.minimize(pla, session=True, no_cache=True)
-        cold = client.minimize(pla, options=options, no_cache=True)
-        assert cold["cover_pla"] != base["cover_pla"]
-        fallbacks_before = self._metric(client, "warmstart.fallbacks")
-        warm = client.minimize(
-            pla, options=options, warm_key=base["warm_key"], no_cache=True
-        )
-        assert warm["ok"] and warm.get("warm") == "cold"
-        assert warm["cover_pla"] == cold["cover_pla"]
-        assert self._metric(client, "warmstart.fallbacks") > fallbacks_before
-        # The chain continues under the new options.
-        again = client.minimize(
-            pla, options=options, warm_key=warm["warm_key"], no_cache=True
-        )
-        assert again.get("warm") == "identical"
-        assert again["cover_pla"] == cold["cover_pla"]
-
-    def test_unknown_warm_key_falls_back_cold(self, client):
-        fallbacks_before = self._metric(client, "warmstart.fallbacks")
-        reply = client.minimize(
-            bench_pla("pscsi-ircv"),
-            warm_key="0" * 64,
-            no_cache=True,
-        )
-        assert reply["ok"]
-        assert reply.get("warm") == "cold"
-        assert self._metric(client, "warmstart.fallbacks") > fallbacks_before
-
     def test_malformed_rejection_is_negatively_cached(self, daemon):
         # Fresh client + unique malformed text so the module-scoped
         # daemon's negative cache starts cold for this key.
@@ -208,6 +129,76 @@ class TestWarmStart:
         assert first.get("cached") is not True
         assert second.get("cached") is True
         assert second["error"] == first["error"]
+
+
+class TestResubmits:
+    """The result cache is the service's one memo: a resubmit is either
+    its hit or a fresh cold run, never an answer from a stored session."""
+
+    def test_identical_resubmit_is_a_cache_hit(self, client):
+        pla = bench_pla("pscsi-pscsi")
+        first = client.minimize(pla)
+        hits_before = client.stats()["stats"]["cache"]["hits"]
+        again = client.minimize(pla)
+        assert again["status"] == "ok" and again["cached"] is True
+        assert again["cover_pla"] == first["cover_pla"]
+        assert client.stats()["stats"]["cache"]["hits"] == hits_before + 1
+
+    def test_edited_resubmit_matches_local_cold_run(self, client):
+        from repro.hf import espresso_hf
+        from repro.proptest.metamorphic import subset_transitions_instance
+
+        inst = build_benchmark("pscsi-tsend")
+        client.minimize(format_pla(inst))  # the unedited original first
+        keep = list(range(len(inst.transitions) - 1))
+        edited = subset_transitions_instance(inst, keep)
+        reply = client.minimize(format_pla(edited), no_cache=True)
+        assert reply["status"] == "ok" and reply["cached"] is False
+        cover = parse_pla(reply["cover_pla"]).on
+        assert not verify_hazard_free_cover(edited, cover)
+        local = espresso_hf(edited).cover
+        assert sorted(map(str, cover)) == sorted(map(str, local))
+
+    def test_other_options_match_local_run(self, client):
+        from repro.hf import EspressoHFOptions, espresso_hf
+
+        inst = build_benchmark("dram-ctrl")
+        pla = format_pla(inst)
+        default = client.minimize(pla, no_cache=True)
+        reply = client.minimize(
+            pla, options={"make_prime": False}, no_cache=True
+        )
+        assert reply["status"] == "ok"
+        assert reply["cover_pla"] != default["cover_pla"]
+        local = espresso_hf(inst, EspressoHFOptions(make_prime=False)).cover
+        cover = parse_pla(reply["cover_pla"]).on
+        assert sorted(map(str, cover)) == sorted(map(str, local))
+
+
+class TestRetiredSessionFields:
+    def test_session_and_warm_key_are_ignored(self, client):
+        # Older clients still send ``session`` and ``warm_key``: the
+        # daemon answers them exactly like the plain request, from the
+        # one result cache, and no reply or stat mentions sessions.
+        pla = bench_pla("pscsi-tsend")
+        client.minimize(pla)  # populate
+        legacy = (
+            {"session": True},
+            {"warm_key": "0" * 64},
+            {"session": True, "warm_key": None},
+        )
+        for no_cache in (False, True):
+            plain = client.minimize(pla, no_cache=no_cache)
+            for fields in legacy:
+                message = dict(fields, op="minimize", id="legacy", pla=pla)
+                if no_cache:
+                    message["no_cache"] = True
+                reply = client.request(message)
+                assert reply["status"] == plain["status"] == "ok"
+                assert reply["cover_pla"] == plain["cover_pla"]
+                assert reply["cached"] is plain["cached"] is (not no_cache)
+                assert "warm_key" not in reply and "warm" not in reply
+        assert "sessions" not in client.stats()["stats"]
 
 
 class TestAdmissionControl:

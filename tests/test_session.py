@@ -25,7 +25,6 @@ from repro.proptest.strategies import InstanceConfig, solvable_instances
 from repro.session import (
     SESSION_VERSION,
     MinimizationSession,
-    SessionStore,
     plan_warm_start,
     signature_of,
 )
@@ -130,18 +129,26 @@ class TestPlanner:
         assert plan.mode == "cold"
         assert any("failed verification" in r for r in plan.reasons)
 
-    def test_assume_identical_skips_signature_not_verify(self):
+    def test_failed_session_status_goes_cold(self):
         inst = build_benchmark("dram-ctrl")
         session = cold_with_session(inst).session
-        # Poison the stored signature: with the caller's identity proof
-        # the planner must not even read it ...
-        session.signature = {"outputs": "garbage"}
-        plan = plan_warm_start(session, inst, assume_identical=True)
-        assert plan.mode == "identical"
-        # ... but the defensive cover verification still runs.
-        session.cover = session.cover[:1]
-        plan = plan_warm_start(session, inst, assume_identical=True)
+        session.status = "budget_exceeded"
+        plan = plan_warm_start(session, inst)
         assert plan.mode == "cold"
+        assert plan.reasons == ["session status 'budget_exceeded'"]
+
+    def test_tampered_signature_goes_cold(self):
+        # Identity is proved by the signature alone: a session whose
+        # stored signature no longer matches never short-circuits, even
+        # though its cover still verifies on the instance.
+        inst = build_benchmark("dram-ctrl")
+        session = cold_with_session(inst).session
+        session.signature = {"outputs": "garbage"}
+        plan = plan_warm_start(session, inst)
+        assert plan.mode == "cold" and plan.reasons == ["signatures differ"]
+        result = espresso_hf(inst, warm_start=session)
+        assert result.warm == "cold"
+        assert format_cover(result.cover) == format_cover(espresso_hf(inst).cover)
 
     def test_warm_result_flags_mode(self):
         inst = build_benchmark("pscsi-tsend")
@@ -182,11 +189,20 @@ class TestOptions:
         for options in (
             EspressoHFOptions(jobs=4),
             EspressoHFOptions(checked=True),
-            EspressoHFOptions(budget=RunBudget(wall_s=60.0)),
         ):
             assert espresso_hf(inst, options, warm_start=session).warm == (
                 "identical"
             )
+
+    def test_budget_runs_cold(self):
+        # A budget that runs out stops the cold run early; the session's
+        # converged cover is not that answer, so any budget plans cold.
+        inst = build_benchmark("dram-ctrl")
+        session = cold_with_session(inst).session
+        options = EspressoHFOptions(budget=RunBudget(wall_s=60.0))
+        plan = plan_warm_start(session, inst, options)
+        assert plan.mode == "cold" and plan.reasons == ["budget set"]
+        assert espresso_hf(inst, options, warm_start=session).warm == "cold"
 
     def test_session_serves_its_own_options_after_json(self):
         inst = build_benchmark("dram-ctrl")
@@ -326,19 +342,12 @@ class TestBudgetedEdit:
         )
         assert warm == cold
 
-
-class TestSessionStore:
-    def test_lru_eviction(self):
-        store = SessionStore(max_entries=2)
-        store.put("a", {"v": 1})
-        store.put("b", {"v": 2})
-        assert store.get("a") == {"v": 1}  # refresh a
-        store.put("c", {"v": 3})  # evicts b
-        assert "b" not in store and "a" in store and "c" in store
-        stats = store.stats()
-        assert stats["evictions"] == 1 and stats["entries"] == 2
-
-    def test_miss_counts(self):
-        store = SessionStore(max_entries=2)
-        assert store.get("nope") is None
-        assert store.stats()["misses"] == 1
+    def test_budgeted_identical_resubmit_matches_budgeted_cold(self):
+        # The resubmit is the very instance the session came from, but
+        # the budget runs out before the cold run converges: the answer
+        # is the budgeted cold run's, not the session's converged cover.
+        inst = build_benchmark("stetson-p1")
+        session = cold_with_session(inst).session
+        cold = _outcome(inst, _budgeted(5))
+        assert cold[0] == "budget_exceeded"
+        assert _outcome(inst, _budgeted(5), warm_start=session) == cold
