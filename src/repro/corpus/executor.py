@@ -11,9 +11,11 @@ stratified corpus is wildly non-uniform (a ``medium`` exact run can cost
 behind the slowest shard; the shared queue keeps every slot busy until
 the queue drains.
 
-**Crash isolation via single-shot processes.**  Each task runs in its own
-freshly forked process (a spare that its slot's zygote forked ahead of
-demand, :mod:`repro.guard.zygote`): a worker SIGKILLed mid-task yields a
+**Crash isolation via worker processes.**  Each task runs outside the
+caller, on a spare that its slot's zygote forked ahead of demand
+(:mod:`repro.guard.zygote`); a spare runs tasks until it dies, times out
+or reports a ``crash``, and its zygote then forks a fresh one.  A worker
+SIGKILLed mid-task yields a
 structured ``worker_crashed`` row for *that* task — exit signal
 attached, retried up to ``retries`` times since a vanished worker does
 not indict the instance — while every other task proceeds.  A long-lived pool cannot

@@ -12,8 +12,8 @@ Two layers:
 
 :func:`run_isolated`
     Process isolation: each work item (a benchmark circuit, a PLA text, a
-    corpus task) runs in its own single-shot subprocess with a wall-clock
-    timeout, and the parent receives a structured, JSON-ready row per
+    corpus task) runs in a worker subprocess with a wall-clock timeout,
+    and the parent receives a structured, JSON-ready row per
     item — ``status ∈ ROW_STATUSES`` plus metrics and the bundle path,
     never an exception.  One pathological circuit can therefore never
     take down a Figure-8 sweep: it times out or crashes *in its own
@@ -21,9 +21,11 @@ Two layers:
 
 The worker processes are spares forked ahead of demand by long-lived
 zygotes (:mod:`repro.guard.zygote`), one per concurrent slot, so the
-caller never forks per item; the zygote module is the only place in the
-package that starts a worker process, and :func:`run_isolated` the only
-caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
+caller never forks per item.  A spare runs jobs until it dies, times out
+or reports a ``crash``, and only then does its zygote fork the next one,
+so an item pays no fork or reap either.  The zygote module is the only
+place in the package that starts a worker process, and
+:func:`run_isolated` the only caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
 are thin wrappers over it; ``scripts/bench_hf.py``, the CLI's
 ``--timeout`` and ``--jobs`` modes, every ``serve`` cache miss and the
 corpus :class:`~repro.corpus.executor.ShardExecutor` all run on it.
@@ -503,12 +505,13 @@ def run_isolated(
     retries: int = 0,
     on_row: Optional[Callable[[int, Dict[str, Any], int], None]] = None,
 ) -> List[Dict[str, Any]]:
-    """Run every payload in its own process, up to ``jobs`` at a time.
+    """Run every payload in a worker process, up to ``jobs`` at a time.
 
-    Each attempt runs ``worker(payload)`` in a fresh single-shot process,
-    a spare that a zygote (:mod:`repro.guard.zygote`) forked ahead of
-    demand; the call holds one zygote per concurrent slot, taken from and
-    returned to the process-wide pool.  ``worker`` travels pickled, so it
+    Each attempt runs ``worker(payload)`` in a worker process, a spare
+    that a zygote (:mod:`repro.guard.zygote`) forked ahead of demand; a
+    spare runs jobs until it dies, times out or reports a ``crash``, and
+    the zygote then forks a fresh one.  The call holds one zygote per
+    concurrent slot, taken from and returned to the process-wide pool.  ``worker`` travels pickled, so it
     must be a module-level callable.  The caller blocks in
     :func:`multiprocessing.connection.wait` on the zygotes' control pipes
     until the first report or the nearest deadline; a freed slot takes
@@ -677,9 +680,10 @@ def run_pool(
     payload order, so the caller's merge is deterministic regardless of
     scheduling.  With ``jobs <= 1`` (or a single item) the items run in
     this process — identical semantics, no process overhead.  Otherwise
-    each item gets its own single-shot process (:func:`run_isolated`),
-    so a worker killed by a signal yields a ``worker_crashed`` row for
-    *its* item while every other item completes normally.
+    the items run on worker processes (:func:`run_isolated`; a worker
+    runs items until it dies, times out or reports a ``crash``), so a
+    worker killed by a signal yields a ``worker_crashed`` row for *its*
+    item while every other item completes normally.
     """
     if bundle_dir:
         payloads = [dict(p, bundle_dir=bundle_dir) for p in payloads]

@@ -5,27 +5,33 @@ start-up page faults and the reap on the request's clock, and write-
 protects every page of the caller (a 40 MB ``serve`` daemon takes a
 copy-on-write fault on each page it touches after each fork).  Instead,
 a caller forks one **zygote** per concurrent slot, once.  The zygote
-keeps one **spare** worker forked ahead of demand:
+keeps one **spare** worker forked ahead of demand, and the spare stays
+for the next job, so a job pays neither a fork nor a reap, and runs in
+an interpreter that earlier jobs have warmed:
 
 1. the zygote forks a spare and tells the caller its pid (``ready``);
 2. the caller sends one job (a payload and a pickled worker callable);
    the zygote hands it to the spare over the spare's own job pipe;
-3. the spare runs the job, sends its row to the zygote and exits; a
-   spare never runs a second job;
+3. the spare runs the job, sends its row to the zygote and waits for the
+   next job on the same pipe: a spare runs jobs until it dies, times out
+   or reports a ``crash`` (after which its interpreter state is unknown,
+   so it exits once the row is sent);
 4. the zygote forwards the row, or reaps a spare that died without one
-   and reports its exit code (``died``), and only then forks the next
-   spare.
+   and reports its exit code (``died``); only once its spare is gone
+   does it fork the next one.
 
 The caller stops a spare past its deadline by pid, and learns of its
-death from the zygote.  A zygote that dies between jobs is replaced
-before the next job is handed over, so that job runs on a fresh zygote;
-one that dies while its spare holds a job is ``lost``, and the caller
-kills the orphaned spare.
+death from the zygote.  A spare that dies while idle is found dead by
+the next job, which the zygote reports as ``died``.  A zygote that dies
+between jobs is replaced before the next job is handed over, so that
+job runs on a fresh zygote; one that dies while its spare holds a job is
+``lost``, and the caller kills the orphaned spare.
 
-Lifetime: a zygote exits on EOF of its control pipe, killing a spare
-that holds a job; an idle spare exits on EOF of its job pipe.  Neither
-can outlive its creator, since the creator's exit closes the control
-pipe; at a normal exit the creator also reaps its idle zygotes.
+Lifetime: a zygote exits on EOF of its control pipe, killing its spare;
+a spare exits on EOF of its job pipe, which it sees once its zygote is
+gone.  Neither can outlive its creator, since the creator's exit closes
+the control pipe; at a normal exit the creator also reaps its idle
+zygotes.
 
 A zygote resets the signal dispositions and the signal wakeup
 descriptor it inherited from the caller (so a SIGTERM at a worker's
@@ -54,6 +60,8 @@ from repro.guard.bundle import describe_exception
 SPAWN_TIMEOUT_S = 10.0
 #: seconds a stopped spare or a closed zygote has to die before a SIGKILL
 STOP_GRACE_S = 1.0
+#: the flag byte before each row a spare sends: it exits after the row, or stays
+_RETIRING, _STAYING = b"x", b"-"
 
 
 # ----------------------------------------------------------------------
@@ -61,32 +69,47 @@ STOP_GRACE_S = 1.0
 # ----------------------------------------------------------------------
 
 
+def _retires(row: Any) -> bool:
+    """True for a row after which its spare exits: a ``crash`` row."""
+    return isinstance(row, dict) and row.get("status") == "crash"
+
+
 def _spare_main(job_r, result_w) -> None:  # pragma: no cover - runs in a spare
-    """Wait for one job, run it, send its row.  EOF means no job is coming."""
-    try:
-        job = job_r.recv_bytes()
-    except (EOFError, OSError):
-        return
-    job_r.close()
-    payload, worker_blob = pickle.loads(job)
-    try:
-        row = pickle.loads(worker_blob)(payload)
-    except BaseException as exc:  # noqa: BLE001 - last-resort isolation
-        row = {
-            "name": payload.get("name", "instance"),
-            "status": "crash",
-            "error": describe_exception(exc),
-            "bundle_path": None,
-        }
-    try:
-        result_w.send(row)
-    except Exception:  # noqa: BLE001 - the zygote will report a death
-        pass
-    for stream in (sys.stdout, sys.stderr):
+    """Run jobs and send their rows until EOF or a ``crash`` row.
+
+    Each row goes to the zygote behind a :data:`_RETIRING` or
+    :data:`_STAYING` flag, so the zygote knows when to fork the next spare
+    without unpickling the row.
+    """
+    while True:
         try:
-            stream.flush()
-        except Exception:  # noqa: BLE001 - a closed stream loses nothing
-            pass
+            job = job_r.recv_bytes()
+        except (EOFError, OSError):  # no job is coming
+            return
+        payload, worker_blob = pickle.loads(job)
+        try:
+            row = pickle.loads(worker_blob)(payload)
+        except BaseException as exc:  # noqa: BLE001 - last-resort isolation
+            row = {
+                "name": payload.get("name", "instance"),
+                "status": "crash",
+                "error": describe_exception(exc),
+                "bundle_path": None,
+            }
+        retiring = _retires(row)
+        try:
+            result_w.send_bytes(
+                (_RETIRING if retiring else _STAYING) + pickle.dumps(row, -1)
+            )
+        except Exception:  # noqa: BLE001 - the zygote will report a death
+            return
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except Exception:  # noqa: BLE001 - a closed stream loses nothing
+                pass
+        if retiring:
+            return
 
 
 def _fork_spare(conn):  # pragma: no cover - runs in the zygote
@@ -141,45 +164,43 @@ def _scrub_descriptors(keep: int) -> None:  # pragma: no cover - in the zygote
 
 
 def _zygote_main(conn) -> None:  # pragma: no cover - runs in the zygote
-    """Fork a spare, hand it one job, report, repeat until the caller leaves."""
+    """Hand jobs to the spare, report, and fork a new spare once it is gone."""
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
     _scrub_descriptors(conn.fileno())
-    while True:
-        pid, job_w, result_r = _fork_spare(conn)
-        try:
-            conn.send(("ready", pid))
+    pid = None
+    try:
+        while True:
+            if pid is None:
+                pid, job_w, result_r = _fork_spare(conn)
+                conn.send(("ready", pid))
             job = conn.recv_bytes()
-        except (EOFError, OSError):  # the caller went away
-            job_w.close()  # the idle spare sees EOF
-            _reap(pid)
-            return
-        try:
-            job_w.send_bytes(job)
-        except OSError:  # the spare died before its job: its death is the report
-            pass
-        job_w.close()
-        if result_r not in wait([result_r, conn]):
-            # EOF on the control pipe mid-job: the caller went away
+            try:
+                job_w.send_bytes(job)
+            except OSError:  # the spare died before its job: its death is the report
+                pass
+            if result_r not in wait([result_r, conn]):
+                return  # EOF on the control pipe mid-job: the caller went away
+            try:
+                row = result_r.recv_bytes()
+            except (EOFError, OSError):  # died before or while sending
+                row = None
+            else:
+                # already a pickled row dict: forwarded as is, after its flag
+                conn.send_bytes(row, 1)
+            if row is None or row.startswith(_RETIRING):
+                job_w.close()
+                result_r.close()
+                pid, code = None, _reap(pid)
+                if row is None:
+                    conn.send(("died", code))
+    except (EOFError, OSError):  # the caller went away
+        pass
+    finally:
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
             _reap(pid)
-            return
-        try:
-            row = result_r.recv_bytes()
-        except (EOFError, OSError):  # died before or while sending
-            row = None
-        result_r.close()
-        try:
-            if row is not None:
-                # already a pickled row dict: forwarded as is, before the reap
-                conn.send_bytes(row)
-                _reap(pid)
-            else:
-                conn.send(("died", _reap(pid)))
-        except OSError:  # the caller went away
-            _reap(pid)
-            return
 
 
 # ----------------------------------------------------------------------
@@ -246,17 +267,21 @@ class Zygote:
         ``("row", row)``; ``("died", exitcode)`` for a spare that died
         without reporting; ``("lost", exitcode)`` with the zygote's own
         exit code when the zygote died, after its spare has been killed.
+        The spare stays for the next job unless it died or sent a
+        ``crash`` row.
         """
-        spare, self.spare = self.spare, None
         try:
             message = self.conn.recv()
         except (EOFError, OSError):
-            _kill(spare, signal.SIGKILL)
+            _kill(self.spare, signal.SIGKILL)
             self.shut_down()
             return "lost", self.proc.exitcode
-        if isinstance(message, dict):
-            return "row", message
-        return message
+        if not isinstance(message, dict):
+            self.spare = None  # a death: the zygote forks the next spare
+            return message
+        if _retires(message):
+            self.spare = None  # the spare exits after a crash row
+        return "row", message
 
     def stop(self) -> None:
         """SIGTERM the spare at its deadline and collect the zygote's report.
@@ -269,7 +294,11 @@ class Zygote:
         _kill(spare, signal.SIGTERM)
         for escalation in (signal.SIGKILL, None):
             if self.conn.poll(STOP_GRACE_S):
-                self.report()
+                if self.report()[0] == "row" and self.spare is not None:
+                    # The row beat the signal, which still ends the spare
+                    # while it waits for its next job; the zygote cannot
+                    # tell, so it goes too.
+                    self.shut_down()
                 return
             if escalation is not None:
                 _kill(spare, escalation)

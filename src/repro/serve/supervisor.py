@@ -26,20 +26,24 @@ and every decision is counted through the shared
 7. **Run** on an isolated worker process (:func:`repro.guard.runner.run_one`)
    with a wall-clock deadline, after which the worker is SIGTERMed;
    *worker death* — and only worker death, which is the one retry-safe
-   failure in the :mod:`repro.guard.errors` taxonomy — is retried on a
-   fresh process under exponential backoff with jitter, at most
-   ``max_retries`` times, with the crash count feeding the quarantine.
+   failure in the :mod:`repro.guard.errors` taxonomy — is retried under
+   exponential backoff with jitter, on the fresh spare that replaces the
+   dead one (a spare runs jobs until it dies, times out or reports a
+   ``crash``), at most ``max_retries`` times, with the crash count
+   feeding the quarantine.
 8. **Serve degraded results explicitly**: a budget-exhausted run returns
    its best *verified* snapshot with ``status="degraded"`` rather than
    failing the request.
 
-Workers are **single-shot processes**: each attempt runs in a fresh
-spare that a zygote forked ahead of demand, and the spare exits after
-its one job, so "automatic respawn" is structural.  The daemon itself
-never forks per job: each concurrent worker thread holds its own zygote
-(``--workers N`` means at most N), a zygote found dead before a job is
-replaced before the job starts, and one that dies mid-job turns the
-attempt into a ``worker_crashed`` row like any other worker death (see
+Workers are **reused until they fail**: each attempt runs on a spare
+that a zygote forked ahead of demand, and a spare runs jobs until it
+dies, times out or reports a ``crash``, so a miss pays no fork or reap.
+The zygote forks a fresh spare once the old one is gone, so "automatic
+respawn" is structural.  The daemon itself never forks per job: each
+concurrent worker thread holds its own zygote (``--workers N`` means at
+most N), a zygote found dead before a job is replaced before the job
+starts, and one that dies mid-job turns the attempt into a
+``worker_crashed`` row like any other worker death (see
 :func:`repro.guard.runner.run_isolated`, the scheduler behind
 ``run_one``, and :mod:`repro.guard.zygote`).
 """
@@ -118,7 +122,10 @@ class _Job:
 
 
 class Supervisor:
-    """Fault-tolerant scheduler over single-shot worker processes."""
+    """Fault-tolerant scheduler over isolated worker processes.
+
+    A worker runs jobs until it dies, times out or reports a ``crash``.
+    """
 
     def __init__(
         self,
