@@ -9,8 +9,8 @@ scales it to thousands (ROADMAP item 1):
 * :mod:`repro.corpus.manifest` — canonical byte-reproducible manifests
   with per-instance content hashes, freeze/load round-trip;
 * :mod:`repro.corpus.executor` — work-stealing shard executor: a shared
-  task queue over crash-isolated worker processes (a worker runs tasks
-  until it dies, times out or reports a ``crash``) with
+  task queue over crash-isolated worker processes, one per slot (a
+  worker runs tasks until it dies, times out or reports a ``crash``) with
   per-instance timeouts, resumable NDJSON checkpointing, and a stdio
   transport seam for remote shards (:mod:`repro.corpus.worker`);
 * :mod:`repro.corpus.differential` — the exact-vs-heuristic differential

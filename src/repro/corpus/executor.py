@@ -12,9 +12,9 @@ behind the slowest shard; the shared queue keeps every slot busy until
 the queue drains.
 
 **Crash isolation via worker processes.**  Each task runs outside the
-caller, on a spare that its slot's zygote forked ahead of demand
-(:mod:`repro.guard.zygote`); a spare runs tasks until it dies, times out
-or reports a ``crash``, and its zygote then forks a fresh one.  A worker
+caller, on its slot's worker process (:mod:`repro.guard.workers`); a
+worker runs tasks until it dies, times out or reports a ``crash``, and
+the slot's next task then forks a fresh one.  A worker
 SIGKILLed mid-task yields a
 structured ``worker_crashed`` row for *that* task — exit signal
 attached, retried up to ``retries`` times since a vanished worker does

@@ -12,7 +12,7 @@ guarantees a long batch run needs:
   delta-debugged failure repro bundles under ``artifacts/``;
 * :mod:`repro.guard.runner` — the crash-isolated process scheduler
   (:func:`run_isolated`) with per-item timeouts and structured status
-  rows, over the pre-forked workers of :mod:`repro.guard.zygote`;
+  rows, over the per-slot worker processes of :mod:`repro.guard.workers`;
 * :mod:`repro.guard.errors` — the error taxonomy (:class:`HFError` and
   friends) with CLI exit codes.
 

@@ -19,13 +19,12 @@ Two layers:
     take down a Figure-8 sweep: it times out or crashes *in its own
     process* and the batch report simply records that.
 
-The worker processes are spares forked ahead of demand by long-lived
-zygotes (:mod:`repro.guard.zygote`), one per concurrent slot, so the
-caller never forks per item.  A spare runs jobs until it dies, times out
-or reports a ``crash``, and only then does its zygote fork the next one,
-so an item pays no fork or reap either.  The zygote module is the only
-place in the package that starts a worker process, and
-:func:`run_isolated` the only caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
+Each concurrent slot has one long-lived worker process
+(:mod:`repro.guard.workers`), which the caller forks at the slot's first
+item and reuses until it dies, times out or reports a ``crash``, so an
+item pays no fork or reap.  The workers module is the only place in the
+package that starts a worker process, and :func:`run_isolated` the only
+caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
 are thin wrappers over it; ``scripts/bench_hf.py``, the CLI's
 ``--timeout`` and ``--jobs`` modes, every ``serve`` cache miss and the
 corpus :class:`~repro.corpus.executor.ShardExecutor` all run on it.
@@ -43,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.guard import zygote as zygote_pool
+from repro.guard import workers as worker_pool
 from repro.guard.bundle import (
     describe_exception,
     options_from_dict,
@@ -457,28 +456,27 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass
 class _Running:
-    """One live attempt: its payload, zygote, clock and deadline."""
+    """One live attempt: its payload, worker, clock and deadline."""
 
     payload: Dict[str, Any]
-    zygote: zygote_pool.Zygote
+    worker: worker_pool.Worker
     timeout: Optional[float]
     t0: float = 0.0
 
     def start(self, worker_blob: bytes) -> None:
         self.t0 = time.perf_counter()
-        self.zygote.submit(pickle.dumps((self.payload, worker_blob), -1))
+        self.worker.submit(pickle.dumps((self.payload, worker_blob), -1))
 
     def settle(self, ready) -> Optional[Dict[str, Any]]:
         """The attempt's final row, or ``None`` while it is still running.
 
         A report that arrived wins over the deadline, so a row sent just
-        before it still counts.  The zygote reports a spare that died
-        without a row with the spare's own exit code, and a death of the
-        zygote itself with the zygote's.
+        before it still counts.  A worker that died without a row is
+        reported with its exit code.
         """
         name = self.payload.get("name", "instance")
-        if self.zygote.conn in ready:
-            kind, value = self.zygote.report()
+        if self.worker.conn in ready:
+            kind, value = self.worker.report()
             elapsed = time.perf_counter() - self.t0
             if kind != "row":
                 return _worker_crashed_row(name, value, elapsed)
@@ -487,7 +485,7 @@ class _Running:
         if self.timeout is None or time.perf_counter() < self.t0 + self.timeout:
             return None
         elapsed = time.perf_counter() - self.t0
-        self.zygote.stop()
+        self.worker.stop()
         return {
             "name": name,
             "status": "timeout",
@@ -507,29 +505,29 @@ def run_isolated(
 ) -> List[Dict[str, Any]]:
     """Run every payload in a worker process, up to ``jobs`` at a time.
 
-    Each attempt runs ``worker(payload)`` in a worker process, a spare
-    that a zygote (:mod:`repro.guard.zygote`) forked ahead of demand; a
-    spare runs jobs until it dies, times out or reports a ``crash``, and
-    the zygote then forks a fresh one.  The call holds one zygote per
-    concurrent slot, taken from and returned to the process-wide pool.  ``worker`` travels pickled, so it
-    must be a module-level callable.  The caller blocks in
-    :func:`multiprocessing.connection.wait` on the zygotes' control pipes
-    until the first report or the nearest deadline; a freed slot takes
-    the next pending payload.
+    Each attempt runs ``worker(payload)`` in a worker process
+    (:mod:`repro.guard.workers`): the call holds one worker per
+    concurrent slot, taken from and returned to the process-wide pool,
+    and a worker runs jobs until it dies, times out or reports a
+    ``crash``; the slot's next job then forks a fresh one.  ``worker``
+    travels pickled, so it must be a module-level callable.  The caller
+    blocks in :func:`multiprocessing.connection.wait` on the workers'
+    pipes until the first report or the nearest deadline; a freed slot
+    takes the next pending payload.
 
     Every payload yields one row, never an exception: the worker's own
     row (``status="crash"`` if it raised); ``status="timeout"`` past the
     deadline (the ``timeout_s`` payload key, else the argument), after a
     SIGTERM to the worker and with an input bundle when the payload names
-    a ``bundle_dir``; or ``status="worker_crashed"`` when the worker (or
-    its zygote) died without reporting.  Only the last is retried — up to
+    a ``bundle_dir``; or ``status="worker_crashed"`` when the worker died
+    without reporting.  Only the last is retried — up to
     ``retries`` times, with ``payload["attempt"]`` bumped — since a
     vanished worker does not indict the instance.
 
     Rows come back in payload order; ``on_row(index, row, attempt)``
     fires once per final row, in completion order.  An exception from
-    ``on_row`` (or an interrupt) kills every in-flight worker and shuts
-    down the zygotes that forked them before it propagates.
+    ``on_row`` (or an interrupt) stops every in-flight worker before it
+    propagates.
     """
     from multiprocessing.connection import wait
 
@@ -539,14 +537,14 @@ def run_isolated(
     requeued = [0] * len(payloads)
     pending = deque(enumerate(payloads))
     active: Dict[int, _Running] = {}
-    idle: List[zygote_pool.Zygote] = []
+    idle: List[worker_pool.Worker] = []
     try:
         while pending or active:
             while pending and len(active) < jobs:
                 idx, payload = pending.popleft()
-                zygote = idle.pop() if idle else zygote_pool.checkout()
+                slot = idle.pop() if idle else worker_pool.checkout()
                 timeout = payload.get("timeout_s") or timeout_s
-                active[idx] = _Running(payload, zygote, timeout)
+                active[idx] = _Running(payload, slot, timeout)
                 active[idx].start(worker_blob)
             deadlines = [
                 r.t0 + r.timeout for r in active.values() if r.timeout is not None
@@ -554,14 +552,14 @@ def run_isolated(
             wait_s = (
                 max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
             )
-            ready = set(wait([r.zygote.conn for r in active.values()], wait_s))
+            ready = set(wait([r.worker.conn for r in active.values()], wait_s))
             for idx in list(active):
                 running = active[idx]
                 row = running.settle(ready)
                 if row is None:
                     continue
                 del active[idx]
-                idle.append(running.zygote)
+                idle.append(running.worker)
                 attempt = int(running.payload.get("attempt", 0))
                 if row.get("status") == "worker_crashed" and requeued[idx] < retries:
                     requeued[idx] += 1
@@ -572,8 +570,8 @@ def run_isolated(
                     on_row(idx, row, attempt)
     finally:
         for running in active.values():
-            running.zygote.abort()
-        zygote_pool.checkin(idle)
+            running.worker.stop()
+        worker_pool.checkin(idle)
     return rows
 
 

@@ -27,25 +27,22 @@ and every decision is counted through the shared
    with a wall-clock deadline, after which the worker is SIGTERMed;
    *worker death* — and only worker death, which is the one retry-safe
    failure in the :mod:`repro.guard.errors` taxonomy — is retried under
-   exponential backoff with jitter, on the fresh spare that replaces the
-   dead one (a spare runs jobs until it dies, times out or reports a
-   ``crash``), at most ``max_retries`` times, with the crash count
+   exponential backoff with jitter, on the fresh worker that replaces
+   the dead one, at most ``max_retries`` times, with the crash count
    feeding the quarantine.
 8. **Serve degraded results explicitly**: a budget-exhausted run returns
    its best *verified* snapshot with ``status="degraded"`` rather than
    failing the request.
 
-Workers are **reused until they fail**: each attempt runs on a spare
-that a zygote forked ahead of demand, and a spare runs jobs until it
-dies, times out or reports a ``crash``, so a miss pays no fork or reap.
-The zygote forks a fresh spare once the old one is gone, so "automatic
-respawn" is structural.  The daemon itself never forks per job: each
-concurrent worker thread holds its own zygote (``--workers N`` means at
-most N), a zygote found dead before a job is replaced before the job
-starts, and one that dies mid-job turns the attempt into a
-``worker_crashed`` row like any other worker death (see
-:func:`repro.guard.runner.run_isolated`, the scheduler behind
-``run_one``, and :mod:`repro.guard.zygote`).
+Workers are **reused until they fail**: each concurrent worker thread
+holds one worker process (``--workers N`` means at most N), forked from
+the daemon at the thread's first miss.  A worker runs jobs until it
+dies, times out or reports a ``crash``, so a miss pays no fork or reap;
+once it is gone, the thread's next job forks a fresh one, so "automatic
+respawn" is structural.  A worker that died while idle costs that next
+job one ``worker_crashed`` attempt, retried like any other worker death
+(see :func:`repro.guard.runner.run_isolated`, the scheduler behind
+``run_one``, and :mod:`repro.guard.workers`).
 """
 
 from __future__ import annotations
