@@ -7,9 +7,8 @@ stage and overall: client-observed p50/p99 latency, cache-hit rate, and
 shed rate.  Everything is also published through a
 :class:`repro.obs.MetricsRegistry` and written with ``--out`` in the same
 snapshot schema the rest of the observability stack consumes
-(:func:`repro.obs.merge_snapshots`, ``scripts/bench_gate.py``'s
-snapshot-diff machinery), so service load numbers can be archived and
-diffed exactly like benchmark numbers.
+(:func:`repro.obs.merge_snapshots`), so service load numbers from several
+runs can be archived and merged.
 
 The workload is a deterministic mix (seeded ``--seed``): benchmark
 circuits drawn with repetition (repeats exercise the canonical-key cache),

@@ -141,19 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "included in --jobs and --timeout modes; see docs/OBSERVABILITY.md",
     )
     parser.add_argument(
-        "--session-in",
-        metavar="FILE",
-        help="reuse a saved minimization session (JSON written by "
-        "--session-out): an identical resubmit returns its re-verified "
-        "cover, an edited or unusable one runs cold — see docs/WARMSTART.md",
-    )
-    parser.add_argument(
-        "--session-out",
-        metavar="FILE",
-        help="capture this run's minimization session for later "
-        "--session-in runs (heuristic single-process mode only)",
-    )
-    parser.add_argument(
         "--stats", action="store_true", help="print per-phase statistics"
     )
     parser.add_argument(
@@ -338,14 +325,6 @@ def _run_command(args, tracer) -> int:
         print(NoSolutionError(instance.name, report.failures))
         return EXIT_NO_SOLUTION
 
-    if (args.session_in or args.session_out) and (
-        args.exact or args.timeout or args.jobs > 1
-    ):
-        print(
-            "warning: --session-in/--session-out only apply to the "
-            "heuristic single-process mode; ignored",
-            file=sys.stderr,
-        )
     result = None
     try:
         if args.exact:
@@ -372,37 +351,11 @@ def _run_command(args, tracer) -> int:
         else:
             from repro.guard.runner import guarded_espresso_hf
 
-            warm_start = None
-            if args.session_in:
-                from repro.session import MinimizationSession
-
-                try:
-                    warm_start = MinimizationSession.load(args.session_in)
-                except (OSError, ValueError) as exc:
-                    print(
-                        f"warning: ignoring --session-in ({exc}); "
-                        "running cold",
-                        file=sys.stderr,
-                    )
             result = guarded_espresso_hf(
                 instance,
                 _heuristic_options(args),
                 bundle_dir=args.bundle_dir if args.checked else None,
-                warm_start=warm_start,
-                capture_session=bool(args.session_out),
             )
-            if warm_start is not None and args.stats:
-                print(f"# warm start: {result.warm}", file=sys.stderr)
-            if args.session_out:
-                if result.session is not None:
-                    result.session.save(args.session_out)
-                else:
-                    print(
-                        "warning: no session captured "
-                        f"(status={result.status}); {args.session_out} "
-                        "not written",
-                        file=sys.stderr,
-                    )
             cover = result.cover
             _report_heuristic(args, result)
     except SystemExit as exc:

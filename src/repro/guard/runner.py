@@ -118,8 +118,6 @@ def guarded_espresso_hf(
     bundle_dir: Optional[str] = None,
     shrink: bool = True,
     max_shrink_evaluations: int = 200,
-    warm_start=None,
-    capture_session: bool = False,
 ):
     """Run :func:`espresso_hf` under the full guard policy.
 
@@ -137,21 +135,12 @@ def guarded_espresso_hf(
 
     ``NoSolutionError`` and ``BudgetExceeded`` pass through untouched:
     they are properties of the input and the budget, not faults.
-
-    ``warm_start`` / ``capture_session`` forward to ``espresso_hf``
-    unchanged — warm-start planning is fallible-by-design (any unusable
-    session degrades to a cold run), so no extra guard policy applies.
     """
     from repro.hf.espresso_hf import EspressoHFOptions, espresso_hf
 
     options = options or EspressoHFOptions()
     try:
-        result = espresso_hf(
-            instance,
-            options,
-            warm_start=warm_start,
-            capture_session=capture_session,
-        )
+        result = espresso_hf(instance, options)
     except (NoSolutionError, BudgetExceeded):
         raise
     except InvariantViolation as exc:

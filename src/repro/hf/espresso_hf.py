@@ -369,8 +369,6 @@ def build_hf_pipeline(options: EspressoHFOptions) -> Tuple:
 def espresso_hf(
     instance: HazardFreeInstance,
     options: Optional[EspressoHFOptions] = None,
-    warm_start=None,
-    capture_session: bool = False,
 ) -> HFResult:
     """Minimize a hazard-free instance heuristically (the paper's algorithm).
 
@@ -379,53 +377,13 @@ def espresso_hf(
     can only escape while the canonical cover is still being computed
     (before any valid cover exists); afterwards exhaustion is reported via
     ``HFResult.status``.
-
-    ``warm_start`` takes a :class:`repro.session.MinimizationSession`
-    captured from an earlier run.  The planner
-    (:func:`repro.session.plan_warm_start`) picks one of two modes,
-    reported on ``HFResult.warm`` and in the trace: *identical* (equal
-    signatures and options, no budget) returns the session cover directly
-    after the Theorem 2.11 verifier re-accepts it; *cold* ignores the
-    session, so an edited instance gets the cold cover by construction.  A
-    bad session can only ever cost the planning time, never correctness.
-
-    ``capture_session=True`` attaches a freshly captured session to
-    ``HFResult.session`` on ``status == "ok"`` runs.
     """
     options = options or EspressoHFOptions()
     t_start = time.perf_counter()
 
-    # Warm planning runs *before* HFContext construction: the identical
-    # short-circuit never touches the context (coverage index, OFF
-    # reductions, privileged-bit tables), so building one first would tax
-    # the fastest path with work it provably discards.
-    warm_mode: Optional[str] = None
-    warm_plan_seconds = 0.0
-    warm_reason = ""
-    if warm_start is not None:
-        from repro.session.warm import plan_warm_start
-
-        t_plan = time.perf_counter()
-        plan = plan_warm_start(warm_start, instance, options)
-        warm_mode = plan.mode
-        warm_reason = f":{plan.reasons[0]}" if plan.reasons else ""
-        warm_plan_seconds = time.perf_counter() - t_plan
-        if plan.mode == "identical":
-            return _warm_identical_result(
-                instance,
-                warm_start,
-                plan,
-                warm_reason,
-                t_start,
-                warm_plan_seconds,
-                capture_session,
-            )
-
     ctx = HFContext(instance, budget=options.budget, checked=options.checked)
     if options.coverage_fault_hook is not None:
         ctx.coverage.fault_hook = options.coverage_fault_hook
-    if warm_mode is not None:
-        ctx.trace.append(f"warm:{warm_mode}{warm_reason}")
 
     state = HFState(instance, options, ctx)
     tracer = current_tracer()
@@ -436,10 +394,11 @@ def espresso_hf(
         # spans close before the (potentially slow) checked-mode
         # invariant hook runs, and a root span brackets the whole run.
         manager = PassManager([ObsHook(tracer)] + default_hooks())
-        attrs = dict(n_inputs=instance.n_inputs, n_outputs=instance.n_outputs)
-        if warm_mode is not None:
-            attrs["warm"] = warm_mode
-        root = tracer.start(f"run:{instance.name}", **attrs)
+        root = tracer.start(
+            f"run:{instance.name}",
+            n_inputs=instance.n_inputs,
+            n_outputs=instance.n_outputs,
+        )
         try:
             manager.run(build_hf_pipeline(options), state)
         finally:
@@ -456,11 +415,7 @@ def espresso_hf(
             cover.append(c)
     if options.checked and not state.stopped_early:
         check_final(ctx, instance, cover)
-    if warm_plan_seconds:
-        state.phase_seconds["warm_plan"] = (
-            state.phase_seconds.get("warm_plan", 0.0) + warm_plan_seconds
-        )
-    result = HFResult(
+    return HFResult(
         cover=cover,
         essentials=state.essential_classes,
         num_required=state.num_required,
@@ -471,84 +426,7 @@ def espresso_hf(
         counters=ctx.perf,
         status=state.status,
         trace=list(state.trace),
-        warm=warm_mode,
     )
-    if capture_session:
-        if result.status == "ok":
-            from repro.session import capture_session as _capture
-
-            result.session = _capture(
-                instance,
-                result.cover,
-                essentials=state.essential_classes,
-                best=state.best,
-                iterations=state.iterations,
-                num_canonical_required=len(state.qf),
-                options=options,
-            )
-        else:
-            # Sessions only ever seed from converged runs; a degraded
-            # cover would poison the identical-mode short-circuit.
-            ctx.trace.append(f"session-capture-skipped:{result.status}")
-            result.trace.append(f"session-capture-skipped:{result.status}")
-    return result
-
-
-def _warm_identical_result(
-    instance: HazardFreeInstance,
-    session,
-    plan,
-    warm_reason: str,
-    t_start: float,
-    warm_plan_seconds: float,
-    capture_session: bool,
-) -> HFResult:
-    """Identical-mode short-circuit: the session cover *is* the cold cover.
-
-    The planner already re-verified it hazard-free against the live
-    instance (Theorem 2.11) — the derived-set signatures are equal, so a
-    cold run would be handed bit-for-bit identical inputs and, being
-    deterministic, return this very cover.  Runs without an
-    :class:`~repro.hf.context.HFContext`: none of its precomputation is
-    consumed on this path.
-    """
-    perf = PerfCounters()
-    perf.warm_cubes_reverified += len(plan.seed)
-    cover = Cover(instance.n_inputs, (), instance.n_outputs)
-    seen = set()
-    for c in plan.seed:
-        key = (c.inbits, c.outbits)
-        if key not in seen:
-            seen.add(key)
-            cover.append(c)
-    tracer = current_tracer()
-    if tracer is not None:
-        root = tracer.start(
-            f"run:{instance.name}",
-            n_inputs=instance.n_inputs,
-            n_outputs=instance.n_outputs,
-            warm="identical",
-        )
-        tracer.unwind(root, status="ok", cover_size=len(cover))
-    result = HFResult(
-        cover=cover,
-        essentials=session.essential_cubes(),
-        num_required=len(instance.required_cubes()),
-        num_canonical_required=session.num_canonical_required,
-        iterations=session.iterations,
-        runtime_s=time.perf_counter() - t_start,
-        phase_seconds={"warm_plan": warm_plan_seconds},
-        counters=perf,
-        status="ok",
-        trace=[f"warm:identical{warm_reason}"],
-        warm="identical",
-    )
-    if capture_session:
-        # The incoming session is exactly what a fresh capture would
-        # produce for this instance, so it is reused as-is and chains
-        # keep working.
-        result.session = session
-    return result
 
 
 def espresso_hf_per_output(

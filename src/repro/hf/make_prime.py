@@ -23,28 +23,28 @@ def make_dhf_prime(cube: Cube, ctx: HFContext) -> Cube:
     Works on raw input bits: raising variable ``i`` to don't-care is
     ``inbits | (0b11 << 2i)``, probed directly through the memoized
     ``supercube_dhf_bits`` — no intermediate Cube objects on this loop.
+
+    One sweep over the variables reaches a dhf-prime: forced expansion is
+    monotone, so a raise that hits the OFF-set on the cube at step ``i``
+    hits it on every larger cube the sweep later grows into.
     """
     inbits = cube.inbits
     outbits = cube.outbits
     supercube = ctx.supercube_dhf_bits
     scache = ctx._supercube_cache
     sc_hits = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(ctx.n_inputs):
-            pair = 0b11 << (2 * i)
-            if inbits & pair == pair:
-                continue  # already don't-care
-            raised = inbits | pair
-            sup_in = scache.get((raised, outbits), _MISSING)
-            if sup_in is _MISSING:
-                sup_in = supercube(raised, outbits)
-            else:
-                sc_hits += 1
-            if sup_in is not None:
-                inbits = sup_in
-                changed = True
+    for i in range(ctx.n_inputs):
+        pair = 0b11 << (2 * i)
+        if inbits & pair == pair:
+            continue  # already don't-care
+        raised = inbits | pair
+        sup_in = scache.get((raised, outbits), _MISSING)
+        if sup_in is _MISSING:
+            sup_in = supercube(raised, outbits)
+        else:
+            sc_hits += 1
+        if sup_in is not None:
+            inbits = sup_in
     ctx.perf.supercube_calls += sc_hits
     ctx.perf.supercube_cache_hits += sc_hits
     if inbits == cube.inbits:

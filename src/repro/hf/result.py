@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cubes.cube import Cube
 from repro.cubes.cover import Cover
@@ -54,17 +54,6 @@ class HFResult:
         Phase trace: one line per phase boundary (``"expand:|F|=12"``) and
         per guard event (budget exhaustion, scalar fallback), in execution
         order.  Serialized into repro bundles on failure.
-    warm:
-        Warm-start mode of the run when ``espresso_hf(warm_start=...)``
-        was used: ``"identical"`` (session cover returned after
-        re-verification) or ``"cold"`` (an edit, or an unusable session:
-        the pipeline ran as if there were none).  ``None`` on runs that
-        never saw a session.
-    session:
-        The captured :class:`repro.session.MinimizationSession` when the
-        caller asked for one (``capture_session=True``); ``None``
-        otherwise.  Typed loosely to keep this module free of a session
-        dependency.
     """
 
     cover: Cover
@@ -77,8 +66,6 @@ class HFResult:
     counters: PerfCounters = field(default_factory=PerfCounters)
     status: str = "ok"
     trace: List[str] = field(default_factory=list)
-    warm: Optional[str] = None
-    session: Optional[object] = None
 
     @property
     def num_cubes(self) -> int:

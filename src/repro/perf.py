@@ -74,10 +74,6 @@ class PerfCounters:
         tables are cleared when ``compute_essentials`` returns, so
         service-style runs don't accumulate per-instance state; merging
         takes the max, not the sum.
-    warm_cubes_reverified:
-        Cubes of a prior session's cover re-verified against the live
-        instance with the Theorem 2.11 checker before an identical-mode
-        short-circuit (docs/WARMSTART.md).
     """
 
     supercube_calls: int = 0
@@ -97,7 +93,6 @@ class PerfCounters:
     escape_probe_hits: int = 0
     essentials_rescans_avoided: int = 0
     essentials_memo_peak: int = 0
-    warm_cubes_reverified: int = 0
 
     @property
     def supercube_hit_rate(self) -> float:
@@ -150,7 +145,6 @@ class PerfCounters:
             "escape_probe_hits": self.escape_probe_hits,
             "essentials_rescans_avoided": self.essentials_rescans_avoided,
             "essentials_memo_peak": self.essentials_memo_peak,
-            "warm_cubes_reverified": self.warm_cubes_reverified,
         }
 
     @classmethod
@@ -185,10 +179,6 @@ class PerfCounters:
                 f"{self.escape_probe_hits} probe memo hits, "
                 f"{self.essentials_rescans_avoided} rescans avoided "
                 f"(memo peak {self.essentials_memo_peak})"
-            )
-        if self.warm_cubes_reverified:
-            lines.append(
-                f"warm start: {self.warm_cubes_reverified} cubes re-verified"
             )
         if self.invariant_checks:
             lines.append(

@@ -15,8 +15,10 @@ The server owns nothing clever — all policy lives in
   process exits.
 * **Observability**: one flat span per request (op, status, cache
   disposition) on a shared tracer, exportable with ``--trace-out``;
-  the metrics snapshot is exportable with ``--metrics-out`` in the same
-  schema ``scripts/bench_gate.py`` compares.
+  the metrics snapshot is exportable with ``--metrics-out`` as a
+  :class:`repro.obs.MetricsRegistry` snapshot, the format
+  :func:`repro.obs.merge_snapshots` combines (as the corpus scoreboard
+  does).
 
 ``serve_main`` is the CLI entry (``espresso-hf serve``);
 :func:`start_in_thread` runs the same daemon on a background thread for

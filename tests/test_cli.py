@@ -1,5 +1,7 @@
 """Tests for the espresso-hf command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -77,6 +79,17 @@ class TestCli:
         # argparse would exit(2); the CLI remaps usage errors to 1.
         assert main(["--no-such-flag"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--session-in", "--session-out"])
+    def test_retired_session_flags_are_usage_errors(self, flag, tmp_path, capsys):
+        # The session flags no longer exist: argparse rejects them before
+        # any minimization runs.
+        bench = Path(__file__).resolve().parent.parent / "data" / "benchmarks"
+        out_path = tmp_path / "cover.pla"
+        argv = [str(bench / "cache-ctrl.pla"), flag, str(tmp_path / "x.json")]
+        assert main(argv + ["-o", str(out_path)]) == EXIT_USAGE
+        assert not out_path.exists()
+        assert ".p " not in capsys.readouterr().out
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
