@@ -46,7 +46,7 @@ from repro.guard.errors import (
 from repro.hazards.existence import existence_report
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import EspressoHFOptions
-from repro.pla import format_cover, parse_pla, read_pla, write_pla
+from repro.pla import format_cover, read_pla, write_pla
 
 EXIT_OK = OUTCOMES["ok"].exit_code
 EXIT_USAGE = OUTCOMES["usage"].exit_code
@@ -218,7 +218,7 @@ def _run_isolated(args, instance, pla_text: str):
     Exits (via SystemExit) with the taxonomy code when the run does not
     produce a cover.
     """
-    from repro.guard.runner import pla_payload, run_one
+    from repro.guard.runner import cover_from_row, pla_payload, run_one
     from repro.obs import current_tracer
 
     tracer = current_tracer()
@@ -242,7 +242,7 @@ def _run_isolated(args, instance, pla_text: str):
     if status != "ok":
         # degraded / budget_exceeded: the cover is still valid — warn only.
         print(f"warning: run finished with status={status}", file=sys.stderr)
-    cover = parse_pla(row["cover_pla"], name=instance.name).on
+    cover = cover_from_row(row)
     if args.stats:
         print(
             f"# {instance.name}: {row['num_cubes']} cubes, "

@@ -421,21 +421,33 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                     bundle_dir,
                     trace=best.trace,
                 )
-    if payload.get("return_cover") and OUTCOMES[row["status"]].cover:
-        # a cover that failed verification is never emitted
-        from repro.pla.writer import format_cover
-
-        row["cover_pla"] = format_cover(
-            best.cover, pla_type="f", name=f"{name} minimized"
-        )
-    if payload.get("return_raw"):
-        # Raw result surface for the per-output merge: integers survive the
-        # process boundary losslessly, library objects would not.
+    return_cover = payload.get("return_cover")
+    if (return_cover or payload.get("return_raw")) and OUTCOMES[row["status"]].cover:
+        # A cover that failed verification is never emitted.  Integer rows
+        # survive the process boundary losslessly (read them back with
+        # :func:`cover_from_row`); the PLA text is the requester's reply.
         row["cover_cubes"] = [[c.inbits, c.outbits] for c in best.cover]
+        if return_cover:
+            from repro.pla.writer import format_cover
+
+            row["cover_pla"] = format_cover(
+                best.cover, pla_type="f", name=f"{name} minimized"
+            )
+    if payload.get("return_raw"):
+        # Raw result surface for the per-output merge.
         row["essentials_inbits"] = [e.inbits for e in best.essentials]
         row["num_required"] = best.num_required
         row["iterations"] = best.iterations
     return row
+
+
+def cover_from_row(row: Dict[str, Any]):
+    """The :class:`~repro.cubes.cover.Cover` a row carries as integer
+    ``cover_cubes``, in the row's ``n_inputs`` x ``n_outputs`` shape."""
+    from repro.cubes import Cover, Cube
+
+    n, m = row["n_inputs"], row["n_outputs"]
+    return Cover(n, [Cube(n, i, o, m) for i, o in row["cover_cubes"]], m)
 
 
 # ----------------------------------------------------------------------

@@ -610,12 +610,11 @@ def _result_from_row(
         if outcome.exc is InvariantViolation:
             raise InvariantViolation("final", [error])
         raise outcome.exc(error)
+    from repro.guard.runner import cover_from_row
+
     n = instance.n_inputs
-    cover = Cover(n, (), 1)
-    for inbits, outbits in row["cover_cubes"]:
-        cover.append(Cube(n, inbits, outbits, 1))
     return HFResult(
-        cover=cover,
+        cover=cover_from_row(row),
         essentials=[Cube(n, b, 1, 1) for b in row["essentials_inbits"]],
         num_required=row["num_required"],
         num_canonical_required=row["num_canonical_required"],

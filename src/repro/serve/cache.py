@@ -7,19 +7,20 @@ snapshot so a ``--checked`` run and a stage-subset run never share an
 entry with the default pipeline.
 
 What gets cached is deliberately narrow, the ``cacheable`` rows of
-:data:`repro.guard.errors.OUTCOMES`: ``ok`` covers (stored in
-*canonical* variable labeling, so one entry serves every
+:data:`repro.guard.errors.OUTCOMES`: ``ok`` covers (stored as integer
+rows in *canonical* variable labeling, so one entry serves every
 permutation/polarity rewrite of the instance) and ``no_solution``
 verdicts (Theorem 4.1 is a property of the function, equally invariant).
 Degraded, timed-out, crashed, or fault-injected outcomes are never
 cached — they describe one run, not the instance.
 
 :class:`MalformedCache` is the *negative* side: deterministic
-``malformed`` rejections happen at parse time, **before** canonicalization
-can produce a key, so they are keyed by a digest of the raw request text.
-Without it every resubmission of the same bad text re-paid a full parse in
-the prepare thread; with it repeated rejections coalesce onto one cached
-answer.
+``malformed`` rejections, keyed by a digest of the raw request text.  A
+parse error happens **before** canonicalization can produce a key; a
+validation error is the worker's, after its one run of the text.  Without
+the cache every resubmission of the same bad text re-paid a parse in the
+prepare thread, or a worker; with it repeated rejections coalesce onto one
+cached answer.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ def options_fingerprint(options_dict: Dict[str, Any]) -> str:
 class ResultCache:
     """Bounded LRU mapping cache keys to canonical-space outcomes.
 
-    An entry is a plain dict: ``{"status", "cover_pla", "num_cubes",
-    "num_literals", "error"}`` with ``cover_pla`` in canonical labeling
-    (``None`` for ``no_solution``, which instead keeps ``failures``: its
-    failing required cubes as canonically-labeled ``(input part,
-    output)`` pairs, rendered per requester).  Eviction is
-    least-recently-*used*: every hit refreshes the entry.
+    An entry is a plain dict: ``{"status", "num_cubes", "num_literals",
+    "error", ...}``.  An ``ok`` entry holds its cover as
+    ``cover_cubes``, canonically-labeled ``(inbits, outbits)`` integer
+    rows, with the shape as ``n_inputs`` and ``n_outputs`` (the fields of
+    a worker row, read back by :func:`repro.guard.runner.cover_from_row`);
+    each reply relabels and formats it for its requester.  A
+    ``no_solution`` entry instead keeps ``failures``: its failing required
+    cubes as canonically-labeled ``(input part, output)`` pairs, rendered
+    per requester.  Eviction is least-recently-*used*: every hit refreshes
+    the entry.
     """
 
     def __init__(self, max_entries: int = 1024):
@@ -105,9 +110,9 @@ class MalformedCache:
     """Bounded LRU negative cache over deterministic parse rejections.
 
     Maps a digest of the raw PLA request text (:meth:`key_for`) to the
-    rejection message the parser produced.  Only *pre-run* rejections
-    belong here — parsing is a pure function of the text, so the verdict
-    is deterministic; mid-run or fault-injected ``malformed`` outcomes
+    rejection message the daemon's parser or the worker's validation
+    produced.  Both are pure functions of the text, so the verdict is
+    deterministic; fault-injected and ``no_cache`` ``malformed`` outcomes
     describe one run and are never negatively cached.  Entries are tiny
     (digest + message), so the default capacity is generous relative to
     the positive cache.

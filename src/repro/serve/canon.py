@@ -20,8 +20,10 @@ group-invariant: it fixes each variable's polarity (smaller signature wins)
 and a variable ordering, and only genuine ties — variables or polarities
 with *identical* signatures — are enumerated.  Random instances have
 essentially no ties; the pathological fully-symmetric ones are capped by
-``max_candidates``, beyond which the instance falls back to an exact-match
-key (its own sorted serialization, marked distinctly).  The fallback is
+``max_candidates``, and large ones by :data:`MAX_ROW_SERIALIZATIONS`
+(candidates times rows, since every candidate serializes every row).
+Beyond either cap the instance falls back to an exact-match key (its own
+sorted serialization, marked distinctly).  The fallback is
 *sound* — equivalent instances may then miss the cache, but a cache hit
 never returns a cover for a different function, and whether an instance
 overflows is itself group-invariant.
@@ -55,6 +57,12 @@ from repro.proptest.metamorphic import (
 #: covers full symmetry up to 6 variables (6! * 2^6 = 46080 > cap only for
 #: totally indistinguishable columns, which serialize identically anyway)
 DEFAULT_MAX_CANDIDATES = 20_000
+
+#: work budget: each candidate serializes every ON row, OFF row and
+#: transition, so the search also falls back once candidates x rows
+#: exceeds this many row serializations (the largest benchmark that
+#: canonicalizes, sd-control, needs 120 x 768 = 92,160)
+MAX_ROW_SERIALIZATIONS = 100_000
 
 _LIT_CHAR = {0: "~", 1: "0", 2: "1", 3: "-"}
 _FLIP_LIT = {LITERAL_ZERO: LITERAL_ONE, LITERAL_ONE: LITERAL_ZERO}
@@ -207,7 +215,8 @@ def canonicalize(
     for group in ordered_groups:
         count *= factorial(len(group))
 
-    if count > max_candidates:
+    rows = len(on_rows) + len(off_rows) + len(trans_rows)
+    if count > max_candidates or count * rows > MAX_ROW_SERIALIZATIONS:
         identity = tuple(range(n))
         text = "sym-overflow\n" + _serialize(
             instance, on_rows, off_rows, trans_rows, identity, [0] * n

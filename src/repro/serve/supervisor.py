@@ -10,7 +10,11 @@ and every decision is counted through the shared
    a request silently.
 2. **Parse & bound** in a worker thread: malformed PLA text is answered
    (``malformed``), oversized instances are shed *before* any expensive
-   derived-set computation (``shed``, reason ``oversized``).
+   derived-set computation (``shed``, reason ``oversized``).  The daemon
+   does not validate the instance: the worker does, once per miss, and an
+   instance it rejects is answered ``malformed`` and negatively cached
+   like a parse error.  A hit needs no validation, since its canonical
+   key is that of an instance a worker already validated.
 3. **Canonicalize** (:mod:`repro.serve.canon`) and check the
    **quarantine**: an instance that already killed
    ``quarantine_threshold`` workers is refused with its repro bundle —
@@ -62,6 +66,7 @@ from repro.guard.errors import (
     MalformedInstance,
     no_solution_message,
 )
+from repro.guard.runner import cover_from_row, pla_payload, run_one
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import TIME_BUCKETS_S
 from repro.serve.cache import MalformedCache, ResultCache, options_fingerprint
@@ -116,6 +121,9 @@ class _Job:
     inject: Optional[Dict[str, Any]]
     future: "asyncio.Future" = field(repr=False, default=None)
     enqueued_at: float = 0.0
+    #: the worker's cover text, already in this requester's labels and
+    #: name, once this job has run; coalesced followers and hits have none
+    cover_pla: Optional[str] = None
 
 
 class Supervisor:
@@ -210,9 +218,10 @@ class Supervisor:
                 req.id, "shutting_down", error="daemon is draining"
             )
 
-        # Negative cache: a deterministic parse rejection of this exact
-        # text was already answered once — coalesce repeats onto it
-        # without paying the prepare thread again.  Fault-injected and
+        # Negative cache: a deterministic rejection of this exact text (a
+        # parse error here, or a worker's validation error) was already
+        # answered once — coalesce repeats onto it without paying the
+        # prepare thread or a worker again.  Fault-injected and
         # no_cache requests opt out, mirroring the positive cache.
         use_negative = not req.no_cache and req.inject is None
         if use_negative:
@@ -330,7 +339,14 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _prepare(self, req: Request) -> _Job:
-        """Parse, bound-check, and canonicalize (runs in a thread)."""
+        """Parse, bound-check, and canonicalize (runs in a thread).
+
+        The instance is built unvalidated: validation is the worker's
+        (:func:`~repro.guard.runner.minimize_payload`).  Every rule it
+        checks is invariant under the permutations and flips that
+        canonicalization applies, so an instance that would fail it never
+        shares a cache key with one that passed it, and a hit needs none.
+        """
         from repro.pla import parse_pla
 
         cfg = self.config
@@ -373,7 +389,7 @@ class Supervisor:
                     f"{cfg.max_transitions})"
                 )
             try:
-                instance = pla.to_instance()
+                instance = pla.to_instance(validate=False)
             except ValueError as exc:
                 raise MalformedInstance(str(exc)) from exc
             canon = canonicalize(instance)
@@ -448,14 +464,19 @@ class Supervisor:
                 job.name, [(c, j) for c, (_, j) in zip(cubes, failures)]
             )
         has_cover = BY_WIRE[status].cover
-        if has_cover and outcome.get("cover_pla"):
-            from repro.pla import format_cover, parse_pla
+        if has_cover and outcome.get("cover_cubes") is not None:
+            # The job's own requester gets the worker's text verbatim: the
+            # relabeling and its inverse keep cube order, so formatting
+            # the canonical rows back would give the same bytes.
+            cover_pla = job.cover_pla
+            if cover_pla is None:
+                from repro.pla import format_cover
 
-            canonical_cover = parse_pla(outcome["cover_pla"]).on
-            cover = job.canon.cover_from_canonical(canonical_cover)
-            fields["cover_pla"] = format_cover(
-                cover, pla_type="f", name=f"{job.name} minimized"
-            )
+                cover = job.canon.cover_from_canonical(cover_from_row(outcome))
+                cover_pla = format_cover(
+                    cover, pla_type="f", name=f"{job.name} minimized"
+                )
+            fields["cover_pla"] = cover_pla
         if has_cover and status != "ok":
             self._count("serve.degraded_served")
         return response(req.id, status, **fields)
@@ -500,15 +521,20 @@ class Supervisor:
             self._open_futures.discard(job.future)
             if self._inflight.get(job.cache_key) is job.future:
                 del self._inflight[job.cache_key]
-            if not job.no_cache and BY_WIRE[outcome["status"]].cacheable:
-                self.cache.put(job.cache_key, outcome)
+            if not job.no_cache:
+                if BY_WIRE[outcome["status"]].cacheable:
+                    self.cache.put(job.cache_key, outcome)
+                elif outcome["status"] == "malformed":
+                    # The worker rejected the text: as deterministic as a
+                    # parse error, so a resubmit is answered without one.
+                    self.malformed_cache.put(
+                        MalformedCache.key_for(job.pla_text), outcome["error"]
+                    )
             if not job.future.done():
                 job.future.set_result(outcome)
 
     async def _run_job(self, job: _Job) -> Dict[str, Any]:
         """Run one job with bounded retries on worker death."""
-        from repro.guard.runner import pla_payload, run_one
-
         cfg = self.config
         attempt = 0
         while True:
@@ -535,6 +561,7 @@ class Supervisor:
                 # this instance is not poison.  Only *consecutive* deaths
                 # (within or across requests) count toward quarantine.
                 self._crash_counts.pop(job.cache_key, None)
+                job.cover_pla = row.get("cover_pla")
                 return self._outcome_from_row(job, row, attempt)
 
             self._count(OUTCOMES["worker_crashed"].counter)
@@ -577,7 +604,6 @@ class Supervisor:
             "time_s": row.get("time_s"),
             "num_cubes": row.get("num_cubes"),
             "num_literals": row.get("num_literals"),
-            "cover_pla": None,
         }
         failures = row.get("failures")
         if failures is not None:
@@ -589,14 +615,13 @@ class Supervisor:
                 (cube, f[1]) for cube, f in zip(cubes, failures)
             ]
             outcome["error"] = None
-        if row_outcome.cover and row.get("cover_pla"):
-            from repro.pla import format_cover, parse_pla
-
-            cover = parse_pla(row["cover_pla"]).on
-            canonical = job.canon.cover_to_canonical(cover)
-            outcome["cover_pla"] = format_cover(
-                canonical, pla_type="f", name="canonical"
+        if row_outcome.cover and row.get("cover_cubes") is not None:
+            canonical = job.canon.cover_to_canonical(cover_from_row(row))
+            outcome["cover_cubes"] = tuple(
+                (c.inbits, c.outbits) for c in canonical
             )
+            outcome["n_inputs"] = canonical.n_inputs
+            outcome["n_outputs"] = canonical.n_outputs
         return outcome
 
     def _quarantine(

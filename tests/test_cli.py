@@ -17,6 +17,8 @@ from repro.bench.figure1 import figure1_instance
 
 from tests.test_hazards import figure3_instance, unsolvable_instance
 
+BENCH_DIR = Path(__file__).resolve().parents[1] / "data" / "benchmarks"
+
 
 @pytest.fixture
 def fig3_pla(tmp_path):
@@ -146,6 +148,16 @@ class TestCliTimeout:
             "--bundle-dir", str(tmp_path / "artifacts"),
         ]) == EXIT_NO_SOLUTION
         assert "no hazard-free cover exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["dram-ctrl", "cache-ctrl"])
+    def test_isolated_run_prints_the_in_process_cover(self, name, capsys):
+        # The isolated run reads its cover back from the row's integer
+        # rows, so its stdout must equal the in-process run's byte for byte.
+        path = str(BENCH_DIR / f"{name}.pla")
+        assert main([path]) == EXIT_OK
+        in_process = capsys.readouterr().out
+        assert main([path, "--timeout", "120"]) == EXIT_OK
+        assert capsys.readouterr().out == in_process
 
     def test_isolated_run_timeout(self, fig3_pla, tmp_path, capsys, monkeypatch):
         # Force the subprocess over its deadline regardless of machine speed.

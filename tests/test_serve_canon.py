@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import espresso_hf
+from repro.pla import format_cover
 from repro.proptest.metamorphic import flip_instance, permute_instance
 from repro.proptest.strategies import (
     InstanceConfig,
@@ -22,6 +23,8 @@ from repro.proptest.strategies import (
     solvable_instances,
 )
 from repro.serve.canon import (
+    DEFAULT_MAX_CANDIDATES,
+    MAX_ROW_SERIALIZATIONS,
     CanonicalForm,
     canonical_instance_key,
     canonicalize,
@@ -89,13 +92,43 @@ class TestKeyDistinctness:
             assert ka.text == kb.text
 
 
+def _parity_instance():
+    """11 inputs, 2048 cubes, no transitions: x0..x4 split ON (odd parity)
+    from OFF (even parity), each crossed with the same 64 seeded patterns
+    over x5..x10, where x_j is ``-`` with probability 0.12 * (j - 5).  The
+    five parity variables are interchangeable under both polarities."""
+    from repro.cubes import Cover, Cube
+    from repro.hazards.instance import HazardFreeInstance
+
+    rng = random.Random(11)
+    patterns = [
+        "".join(
+            "-" if rng.random() < 0.12 * (j - 5) else rng.choice("01")
+            for j in range(5, 11)
+        )
+        for _ in range(64)
+    ]
+    on, off = Cover(11), Cover(11)
+    for a in range(32):
+        head = format(a, "05b")
+        side = on if head.count("1") % 2 else off
+        for pattern in patterns:
+            side.append(Cube.from_string(head + pattern))
+    return HazardFreeInstance(on, off, [], name="parity")
+
+
 class TestCoverMapping:
     @given(solvable_instances(SMALL), st.data())
     def test_cover_roundtrip_is_identity(self, inst, data):
         form = canonicalize(inst)
         cover = espresso_hf(inst).cover
         back = form.cover_from_canonical(form.cover_to_canonical(cover))
-        assert back.key() == cover.key()
+        # Byte-identical text, not just the same cube set: a served miss
+        # replies with the worker's own cover text and a hit formats the
+        # relabeled canonical rows, so both must agree in cube order too.
+        assert format_cover(back, pla_type="f", name="x") == format_cover(
+            cover, pla_type="f", name="x"
+        )
 
     @given(solvable_instances(SMALL), st.data())
     def test_cache_hit_path_serves_hazard_free_covers(self, inst, data):
@@ -145,6 +178,20 @@ class TestOverflowFallback:
                 canonicalize(inst, max_candidates=cap).overflow
                 == canonicalize(rewritten, max_candidates=cap).overflow
             )
+
+    def test_large_instance_overflows_on_work_not_candidates(self):
+        # Few enough candidates for the search, but each one serializes
+        # all 2048 rows: the work cap must fall back, and every rewrite
+        # must fall back with it.
+        inst = _parity_instance()
+        form = canonicalize(inst)
+        assert form.candidates <= DEFAULT_MAX_CANDIDATES
+        assert form.candidates * 2048 > MAX_ROW_SERIALIZATIONS
+        assert form.overflow
+        perm = list(range(inst.n_inputs))
+        random.Random(5).shuffle(perm)
+        rewritten = permute_instance(flip_instance(inst, 0b10100110101), tuple(perm))
+        assert canonicalize(rewritten).overflow
 
     def test_low_cap_still_keys_identical_instances_together(self):
         inst = build_benchmark("dram-ctrl")

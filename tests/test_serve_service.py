@@ -131,6 +131,93 @@ class TestCaching:
         assert second["error"] == first["error"]
 
 
+class TestWorkerValidates:
+    """The worker is the one validator: the daemon builds instances
+    unvalidated, and an instance the worker rejects is answered
+    ``malformed`` and negatively cached like a parse error."""
+
+    def test_daemon_never_validates(self, monkeypatch):
+        from repro.hazards.instance import HazardFreeInstance
+
+        inst = build_benchmark("pscsi-ircv")
+        miss = format_pla(inst)
+        perm = tuple(reversed(range(inst.n_inputs)))
+        rewrite = format_pla(permute_instance(flip_instance(inst, 0b101), perm))
+        pair = bench_pla("pscsi-isend")
+        sleeper = bench_pla("dram-ctrl")
+        calls = []
+        original = HazardFreeInstance.validate
+
+        def spy(self):
+            calls.append(self.name)
+            return original(self)
+
+        # One worker, held by a sleeping job while the pair arrives, so
+        # the pair's second request coalesces onto the first.
+        handle = start_in_thread(ServeConfig(workers=1, allow_test_faults=True))
+        monkeypatch.setattr(HazardFreeInstance, "validate", spy)
+        replies = {}
+
+        def send(key, text, **fields):
+            with ServeClient(handle.host, handle.port) as c:
+                replies[key] = c.minimize(text, **fields)
+
+        try:
+            send("miss", miss)
+            send("hit", rewrite)
+            send("memo-hit", miss)
+            threads = [threading.Thread(
+                target=send, args=("sleeper", sleeper),
+                kwargs={"inject": {"sleep_s": 1.0}},
+            )]
+            threads[0].start()
+            threading.Event().wait(0.3)
+            threads += [
+                threading.Thread(target=send, args=(key, pair))
+                for key in ("first", "second")
+            ]
+            for t in threads[1:]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            handle.stop()
+        assert set(replies) == {
+            "miss", "hit", "memo-hit", "sleeper", "first", "second"
+        }
+        assert all(r["status"] == "ok" for r in replies.values()), replies
+        assert replies["miss"]["cached"] is False
+        assert replies["hit"]["cached"] is True
+        assert replies["memo-hit"]["cached"] is True
+        pair_replies = [replies["first"], replies["second"]]
+        assert sorted(bool(r.get("coalesced")) for r in pair_replies) == [False, True]
+        assert pair_replies[0]["cover_pla"] == pair_replies[1]["cover_pla"]
+        assert calls == []
+
+    def test_worker_rejection_is_malformed_and_negatively_cached(self, client):
+        hazard = (
+            "# function-hazard probe\n.i 2\n.o 1\n.type fr\n"
+            "00 1\n11 1\n01 0\n10 0\n.trans 00 11\n.e\n"
+        )
+
+        def counter(name):
+            metrics = client.stats()["stats"]["metrics"]
+            return metrics.get(name, {}).get("value", 0)
+
+        first = client.minimize(hazard)
+        assert first["status"] == "malformed", first
+        assert first.get("cached") is not True
+        assert "function hazard" in first["error"]
+        cached_before = counter("serve.malformed_cached")
+        admitted_before = counter("serve.admitted")
+        again = client.minimize(hazard)
+        assert again["status"] == "malformed"
+        assert again["cached"] is True
+        assert again["error"] == first["error"]
+        assert counter("serve.malformed_cached") == cached_before + 1
+        assert counter("serve.admitted") == admitted_before
+
+
 class TestResubmits:
     """The result cache is the service's one memo: a resubmit is either
     its hit or a fresh cold run, never an answer from a stored session."""
