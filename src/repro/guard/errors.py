@@ -10,9 +10,9 @@ existing ``except`` clauses keep working.
 :data:`OUTCOMES` defines each request outcome once: its worst-of rank, CLI
 exit code, wire status, cover/``ok``/cacheable flags, ``serve`` counter
 and exception class.  The CLI, the isolated runner's rows, the ``serve``
-protocol and cache, the per-output merge, the regression gate and the
-corpus differential all derive from it, and :func:`outcome_of` is the one
-exception -> outcome mapping.
+protocol and cache, the per-output merge and the corpus differential all
+derive from it, and :func:`outcome_of` is the one exception -> outcome
+mapping.
 
 This module must stay import-light: it is imported by ``repro.hf`` and
 ``repro.pla`` and must never import them back.

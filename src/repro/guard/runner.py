@@ -25,9 +25,9 @@ item and reuses until it dies, times out or reports a ``crash``, so an
 item pays no fork or reap.  The workers module is the only place in the
 package that starts a worker process, and :func:`run_isolated` the only
 caller of it.  :func:`run_one`, :func:`run_batch` and :func:`run_pool`
-are thin wrappers over it; ``scripts/bench_hf.py``, the CLI's
-``--timeout`` and ``--jobs`` modes, every ``serve`` cache miss and the
-corpus :class:`~repro.corpus.executor.ShardExecutor` all run on it.
+are thin wrappers over it; the CLI's ``--timeout`` and ``--jobs`` modes,
+every ``serve`` cache miss and the corpus
+:class:`~repro.corpus.executor.ShardExecutor` all run on it.
 Work items are plain dicts (see :func:`benchmark_payload` /
 :func:`pla_payload`) so they cross the process boundary without pickling
 any library objects; the worker callable crosses it pickled by name.
@@ -198,15 +198,8 @@ def benchmark_payload(
     verify: bool = True,
     repeats: int = 1,
     timeout_s: Optional[float] = None,
-    collect_spans: bool = False,
 ) -> Dict[str, Any]:
-    """Work item for one named Figure-8 benchmark circuit.
-
-    With ``collect_spans`` the worker runs under its own
-    :class:`repro.obs.Tracer` and ships the fastest repeat's finished
-    spans (plus a metrics snapshot) back on the row — the batch caller
-    adopts them into its trace (``scripts/bench_gate.py --trace-out``).
-    """
+    """Work item for one named Figure-8 benchmark circuit."""
     return {
         "kind": "benchmark",
         "name": name,
@@ -215,7 +208,6 @@ def benchmark_payload(
         "verify": verify,
         "repeats": repeats,
         "timeout_s": timeout_s,
-        "collect_spans": collect_spans,
     }
 
 

@@ -13,10 +13,11 @@ three objects every algorithm in the library consumes (paper §3.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.cubes.cube import Cube
-from repro.cubes.cover import Cover
+from repro.cubes.cover import Cover, CoverColumns
 from repro.guard.errors import MalformedInstance
 from repro.hazards.transitions import Transition, TransitionEntry, TransitionKind
 from repro.hazards.required import subcubes_from_blockers
@@ -97,10 +98,6 @@ class HazardFreeInstance:
         self.name = name
         self.n_inputs = on.n_inputs
         self.n_outputs = on.n_outputs
-        #: the ON and OFF covers transposed into bitsets, shared by the
-        #: transition table, the disjointness check and the verifier
-        self.on_columns = on.columns()
-        self.off_columns = off.columns()
         # Single-output ON/OFF covers per output, split on first use.
         self._on_by_output: Optional[List[Cover]] = None
         self._off_by_output: Optional[List[Cover]] = None
@@ -111,6 +108,18 @@ class HazardFreeInstance:
         self._privileged: Optional[List[PrivilegedCube]] = None
         if validate:
             self.validate()
+
+    # The ON and OFF covers transposed into bitsets, shared by the
+    # transition table, the disjointness check and the verifier.  Built on
+    # first use: an instance that is only canonicalized never reads them.
+
+    @cached_property
+    def on_columns(self) -> CoverColumns:
+        return self.on.columns()
+
+    @cached_property
+    def off_columns(self) -> CoverColumns:
+        return self.off.columns()
 
     # ------------------------------------------------------------------
     # Function access

@@ -1,4 +1,4 @@
-"""Observability layer: span tracing, metrics, exporters, regression gate.
+"""Observability layer: span tracing, metrics and exporters.
 
 The paper's headline claim is *speed* (30–135× over exact HFMIN on the
 Figure 8 benchmarks), so this package gives the repository the evidence
@@ -14,13 +14,13 @@ machinery a performance claim needs:
   associatively mergeable snapshots (:class:`MetricsRegistry`,
   :func:`merge_snapshots`, :func:`publish_result_metrics`);
 * :mod:`repro.obs.export` — JSONL, Chrome ``chrome://tracing``, and
-  plain-text top-N exporters;
-* :mod:`repro.obs.regress` — the benchmark regression gate behind
-  ``scripts/bench_gate.py``: noise-aware per-phase / total-time / quality
-  thresholds against the committed ``BENCH_espresso_hf.json`` baseline.
+  plain-text top-N exporters.
 
-See ``docs/OBSERVABILITY.md`` for the span model, metric naming
-conventions, exporter formats, and how to read a gate failure.
+The performance and quality gate is ``scripts/perf_gate.py``, which runs
+the end-to-end benchmark (``perfbench/run.py``) against the committed
+``BENCH_*.json`` baselines.  See ``docs/OBSERVABILITY.md`` for the span
+model, metric naming conventions, exporter formats, and how to read a
+gate failure.
 """
 
 from repro.obs.export import (
@@ -42,12 +42,6 @@ from repro.obs.metrics import (
     merge_snapshots,
     monotone_counters,
     publish_result_metrics,
-)
-from repro.obs.regress import (
-    GateReport,
-    GateThresholds,
-    compare_snapshots,
-    load_snapshot,
 )
 from repro.obs.span import Span, Tracer, activate, current_tracer
 
@@ -72,8 +66,4 @@ __all__ = [
     "write_jsonl",
     "write_chrome_trace",
     "spans_from_dicts",
-    "GateReport",
-    "GateThresholds",
-    "compare_snapshots",
-    "load_snapshot",
 ]

@@ -4,13 +4,13 @@ Every :class:`repro.hf.context.HFContext` owns a :class:`PerfCounters`
 instance; the hot-path primitives (``supercube_dhf_bits``, the coverage
 bitmask cache, the MINCOV solver) bump counters as they run.  The final
 snapshot travels on :class:`repro.hf.result.HFResult` and into the
-benchmark JSON (``scripts/bench_hf.py``), so performance regressions show
-up as numbers, not vibes.
+isolated runner's rows and the CLI's ``--stats``, so performance
+regressions show up as numbers, not vibes.
 
 :class:`PerfCounters` holds counters only.  Wall time has one clock: the
 :class:`~repro.pipeline.manager.PassManager` times each pass once into
 ``HFResult.phase_seconds``, and every timing view (reports, metrics, the
-regression gate) is read from there.
+benchmark's ``hf.*`` layers) is read from there.
 
 All counters are plain integers updated inline — the bookkeeping must cost
 (almost) nothing on the path it measures.
@@ -124,7 +124,7 @@ class PerfCounters:
             )
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (used by ``scripts/bench_hf.py``)."""
+        """JSON-ready snapshot (the ``counters`` of an isolated runner row)."""
         return {
             "supercube_calls": self.supercube_calls,
             "supercube_cache_hits": self.supercube_cache_hits,

@@ -10,8 +10,8 @@ around it:
    manager and nowhere else: the seconds go to ``state.phase_seconds``,
    the pass name to ``state.executed_passes``, and ``passes_executed`` on
    the context's :class:`~repro.perf.PerfCounters` is bumped; every
-   other timing view (reports, metrics, the regression gate) is read from
-   ``state.phase_seconds``;
+   other timing view (reports, metrics, the benchmark's ``hf.*`` layers)
+   is read from ``state.phase_seconds``;
 2. **snapshots** — best-verified-cover capture after each pass
    (:class:`~repro.pipeline.hooks.SnapshotHook`);
 3. **trace** — phase-boundary lines

@@ -5,6 +5,9 @@ the coverage-bitset engine, run in checked mode, and the run must (a)
 detect the scalar-vs-bitset divergence, (b) fall back to the scalar
 engine and still produce a verified hazard-free cover, and (c) leave
 behind a shrunk, replayable repro bundle.
+
+Without a fault, checked mode over the whole benchmark suite must pass
+every checkpoint and give the golden covers (``TestCheckedSuite``).
 """
 
 import importlib
@@ -12,7 +15,7 @@ import json
 
 import pytest
 
-from repro.bm.benchmarks import build_benchmark
+from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.guard.bundle import (
     load_bundle,
     probe_failure,
@@ -27,6 +30,7 @@ from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import EspressoHFOptions, espresso_hf
 from repro.hf.context import HFContext
 
+from tests.test_golden_pipeline import GOLDEN_PATH, _cover_key
 from tests.test_hazards import figure3_instance
 
 
@@ -86,6 +90,24 @@ class TestCheckedMode:
         assert info.value.violations
         assert info.value.exit_code == 3
         assert isinstance(info.value, AssertionError)
+
+
+class TestCheckedSuite:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH) as fh:
+            return json.load(fh)["circuits"]
+
+    @pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+    def test_checked_run_is_clean_and_golden(self, golden, name):
+        instance = build_benchmark(name)
+        result = guarded_espresso_hf(instance, EspressoHFOptions(checked=True))
+        assert result.status == "ok"
+        assert not verify_hazard_free_cover(instance, result.cover)
+        assert result.counters.invariant_checks > 0
+        assert result.counters.crosscheck_divergences == 0
+        assert result.counters.scalar_fallbacks == 0
+        assert _cover_key(result.cover) == golden[name]["cover"]
 
 
 class TestBundles:

@@ -51,6 +51,7 @@ from repro.guard.errors import (
     NoSolutionError,
     WorkerCrashed,
     outcome_of,
+    status_rank,
 )
 from repro.guard.runner import (
     failure_fields,
@@ -208,6 +209,14 @@ class TestTable:
 
     def test_wire_statuses_are_one_to_one(self):
         assert len(BY_WIRE) == len(OUTCOMES)
+
+    def test_worker_crashed_ranks_worst(self):
+        # worst-of merges rank it below timeout, and an unknown status
+        # ranks level with it
+        assert status_rank("ok") < status_rank("degraded") < status_rank("timeout")
+        assert status_rank("timeout") < status_rank("worker_crashed")
+        assert status_rank("not-a-status") == status_rank("worker_crashed")
+        assert status_rank("shed") == status_rank("worker_crashed")
 
     def test_exception_classes_map_to_their_rows(self):
         from repro.pla.reader import PlaError

@@ -16,9 +16,6 @@ Both use the classic cyclic 3-variable function
 two of its six primes, which form a ring, so no prime is forced.
 """
 
-import json
-import os
-
 import pytest
 
 import repro.hf.lastgasp as lastgasp_module
@@ -33,8 +30,6 @@ from repro.hf.context import HFContext
 from repro.hf.irredundant import irredundant_cover
 from repro.hf.lastgasp import last_gasp
 from repro.perf import PerfCounters
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: the ON minterms of the cyclic function, in ring order
 RING = ["000", "001", "101", "111", "110", "010"]
@@ -69,16 +64,23 @@ class TestPartitionOnBenchmarks:
 
 
 class TestCountersOnly:
-    def test_committed_snapshots_with_timing_dicts_still_load(self):
-        # baseline rows written when PerfCounters still held per-operator
+    def test_snapshots_with_timing_dicts_still_load(self):
+        # a counters row written when PerfCounters still held per-operator
         # time dicts: the counters load, the unknown timing keys are dropped
-        with open(os.path.join(REPO_ROOT, "BENCH_espresso_hf.json")) as fh:
-            rows = json.load(fh)["circuits"]
-        for row in rows:
-            counters = PerfCounters.from_dict(row["counters"])
-            assert counters.supercube_calls == row["counters"]["supercube_calls"]
-            snapshot = counters.as_dict()
-            assert all(isinstance(v, (int, float)) for v in snapshot.values())
+        row = {
+            "supercube_calls": 9438,
+            "supercube_hit_rate": 0.6084,
+            "escape_swar_filtered": 0,
+            "mincov_rows": 601,
+            "op_seconds": {"essentials": 0.048666, "expand": 0.016016},
+        }
+        counters = PerfCounters.from_dict(row)
+        assert counters.supercube_calls == 9438
+        assert counters.mincov_rows == 601
+        snapshot = counters.as_dict()
+        assert "op_seconds" not in snapshot
+        assert "escape_swar_filtered" not in snapshot
+        assert all(isinstance(v, (int, float)) for v in snapshot.values())
 
     def test_merge_sums_counters_and_keeps_the_memo_peak(self):
         a = PerfCounters(supercube_calls=2, essentials_memo_peak=7)

@@ -8,6 +8,7 @@ canonical-space covers back onto the requester's instance hazard-free.
 Each is pinned here, plus the overflow fallback's soundness.
 """
 
+import os
 import random
 
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 from repro.bm.benchmarks import BENCHMARKS, build_benchmark
 from repro.hazards.verify import verify_hazard_free_cover
 from repro.hf import espresso_hf
-from repro.pla import format_cover
+from repro.pla import format_cover, parse_pla
 from repro.proptest.metamorphic import flip_instance, permute_instance
 from repro.proptest.strategies import (
     InstanceConfig,
@@ -28,6 +29,10 @@ from repro.serve.canon import (
     CanonicalForm,
     canonical_instance_key,
     canonicalize,
+)
+
+BENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data", "benchmarks"
 )
 
 SMALL = InstanceConfig(max_inputs=4, max_outputs=2, max_on_cubes=5, max_transitions=3)
@@ -208,3 +213,15 @@ class TestCanonicalFormShape:
             assert form.candidates <= 20_000
         assert isinstance(form, CanonicalForm)
         assert len(form.key) == 64
+
+
+class TestUnvalidatedInstance:
+    def test_canonicalize_builds_no_cover_columns(self):
+        # the daemon's preparation of a request: it never reads the columns
+        with open(os.path.join(BENCH_DIR, "dram-ctrl.pla")) as fh:
+            instance = parse_pla(fh.read(), name="dram-ctrl").to_instance(validate=False)
+        canonicalize(instance)
+        assert "on_columns" not in vars(instance)
+        assert "off_columns" not in vars(instance)
+        instance.validate()
+        assert "on_columns" in vars(instance)
